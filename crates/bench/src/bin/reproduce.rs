@@ -345,7 +345,7 @@ fn run_scaling(opts: &Opts) {
         );
     }
     println!(
-        "(patched context every {} allocs of {} B; registry/quarantine sharded, patch table frozen)",
+        "(patched context every {} allocs of {} B; per-buffer headers, patch table frozen)",
         scaling::PATCHED_EVERY,
         scaling::ALLOC_SIZE
     );

@@ -2,10 +2,9 @@
 //! HeapTherapy+ evaluation (paper Section VIII).
 //!
 //! Each `expN` module produces the rows of one paper artifact; the
-//! `reproduce` binary prints them next to the paper's reported numbers, and
-//! the Criterion benches in `benches/` measure the timing-based ones
-//! statistically. Absolute numbers differ from the paper (the substrate is a
-//! simulator, not the authors' Xeon) — the *shape* is what reproduces.
+//! `reproduce` binary prints them next to the paper's reported numbers.
+//! Absolute numbers differ from the paper (the substrate is a simulator,
+//! not the authors' Xeon) — the *shape* is what reproduces.
 //!
 //! | module | paper artifact |
 //! |---|---|

@@ -3,9 +3,9 @@
 //! Not a paper artifact — the paper evaluates single-threaded SPEC and
 //! multi-process services — but the property it probes is the paper's
 //! central engineering claim: the online defense adds *no global lock* to
-//! the allocation path (the patch table is frozen read-only, the registry
-//! and quarantine are sharded), so throughput should scale with threads
-//! like the native allocator does.
+//! the allocation path (the patch table is frozen read-only and free
+//! dispatches on the buffer's own header), so throughput should scale with
+//! threads like the native allocator does.
 //!
 //! Four series, each at 1/2/4/8 threads (capped by `--threads`):
 //!
@@ -14,7 +14,7 @@
 //!   paper's "interposition only" bar),
 //! * **hardened** — [`HardenedAlloc`] with 5 patches installed and frozen,
 //!   one patched context exercised every 64th allocation (guard page +
-//!   registry + quarantine traffic on the patched slice),
+//!   quarantine traffic on the patched slice),
 //! * **hardened+telemetry** — the same configuration with attack telemetry
 //!   armed (event ring + striped per-patch counters), probing the claim
 //!   that telemetry-off costs nothing and telemetry-on stays within noise.
@@ -106,9 +106,9 @@ fn run_series<F: Fn(usize) -> u64 + Sync>(n: usize, work: F) -> f64 {
 /// A hardened allocator with the 5 scaling patches installed and the table
 /// frozen (the configuration the "hardened" series runs against).
 ///
-/// Boxed: a `HardenedAlloc` embeds its sharded tables, event ring, and
-/// striped counters (~430 KiB), which in unoptimized builds would otherwise
-/// occupy a fresh stack slot per temporary.
+/// Boxed: a `HardenedAlloc` embeds its patch table, event ring, and
+/// striped counters (a few hundred KiB), which in unoptimized builds would
+/// otherwise occupy a fresh stack slot per temporary.
 pub fn patched_alloc() -> Box<HardenedAlloc> {
     let a = empty_alloc();
     let patches: Vec<PatchEntry> = PATCHED_SITES

@@ -1,14 +1,13 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use crate::registry::{
-    Entry, QuarantineRing, Registry, RegistryStats, StripedCounter, NO_PATCH_SLOT,
-};
 use ht_patch::{AllocFn, Patch, VulnFlags};
 use ht_telemetry::{
-    AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, TelemetrySnapshot,
+    AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, StripedCounter,
+    TelemetrySnapshot,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// One installed patch, allocation-free representation.
@@ -56,8 +55,66 @@ pub struct HardenedStats {
     pub quarantined_bytes: u64,
     /// Bytes evicted from the quarantine back to the system.
     pub evicted_bytes: u64,
-    /// Defenses skipped because a fixed table was full (fail-open).
+    /// Patches [`HardenedAlloc::install`] rejected because the table was
+    /// full or frozen (fail-open).
     pub fail_open: u64,
+    /// Frees refused as heap misuse: a second free of a still-quarantined
+    /// block, or a pointer whose header check fails (already released, or
+    /// never returned by this allocator). The block is left alone.
+    pub misuse: u64,
+}
+
+/// Counters over the header-tagged patched buffers whose free carries a
+/// defense (guarded or use-after-free).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryStats {
+    /// Tagged buffers ever allocated.
+    pub inserts: u64,
+    /// Tagged buffers ever freed (unmapped or deferred).
+    pub removes: u64,
+}
+
+impl RegistryStats {
+    /// Tagged buffers currently live (conservation: inserts = removes +
+    /// live).
+    pub fn live(&self) -> u64 {
+        self.inserts - self.removes
+    }
+}
+
+/// Minimal spin lock (no parking, no allocation).
+#[derive(Debug, Default)]
+struct SpinLock {
+    locked: AtomicBool,
+}
+
+impl SpinLock {
+    const fn new() -> Self {
+        Self {
+            locked: AtomicBool::new(false),
+        }
+    }
+
+    fn lock(&self) -> SpinGuard<'_> {
+        while self
+            .locked
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            std::hint::spin_loop();
+        }
+        SpinGuard { lock: self }
+    }
+}
+
+struct SpinGuard<'a> {
+    lock: &'a SpinLock,
+}
+
+impl Drop for SpinGuard<'_> {
+    fn drop(&mut self) {
+        self.lock.locked.store(false, Ordering::Release);
+    }
 }
 
 const PATCH_SLOTS: usize = 512;
@@ -101,7 +158,7 @@ const EMPTY_SLOT: PatchSlot = PatchSlot {
 /// [`PatchSlot`]) are the one field that still mutates after freeze; they
 /// are purely observational and masked out of every lookup.
 struct PatchSet {
-    lock: crate::registry::SpinLock,
+    lock: SpinLock,
     frozen: AtomicBool,
     slots: [PatchSlot; PATCH_SLOTS],
 }
@@ -109,7 +166,7 @@ struct PatchSet {
 impl PatchSet {
     const fn new() -> Self {
         Self {
-            lock: crate::registry::SpinLock::new(),
+            lock: SpinLock::new(),
             frozen: AtomicBool::new(false),
             slots: [EMPTY_SLOT; PATCH_SLOTS],
         }
@@ -217,17 +274,215 @@ fn page_up(n: usize) -> usize {
     (n + PAGE - 1) & !(PAGE - 1)
 }
 
+// The per-buffer header: paper Fig. 6's metadata word plus a check word,
+// in the `max(16, align)` bytes before the user pointer (`max(32, align)`
+// for UAF buffers, which also carry their size and the quarantine link).
+// Word offsets count back from the user pointer in 8-byte steps.
+
+/// The meta word: vuln bits, quarantined bit, patch slot, guard page, align.
+const META: usize = 1;
+/// `seal(user, meta)`: binds the meta word to the buffer address.
+const CHECK: usize = 2;
+/// User size (UAF buffers only; needed when the quarantine evicts).
+const SIZE: usize = 3;
+/// Next-younger quarantined block (UAF buffers only; 0 ends the FIFO).
+const LINK: usize = 4;
+
+const VULN_MASK: u64 = 0b111;
+const QUARANTINED: u64 = 1 << 3;
+/// Patch-table slot (telemetry attribution), 9 bits.
+const SLOT_SHIFT: u32 = 4;
+/// Guard page number (`addr >> 12`), 36 bits: a 48-bit address space.
+const GUARD_SHIFT: u32 = 16;
+const GUARD_MASK: u64 = (1 << 36) - 1;
+/// `log2(align)`, 6 bits.
+const ALIGN_SHIFT: u32 = 58;
+
+/// Reads header word `w` of `user`. Unaligned: a guarded byte buffer ends
+/// exactly at its guard page, so its header need not be 8-byte aligned.
+///
+/// # Safety
+///
+/// The 8 bytes of word `w` below `user` must be readable.
+#[inline]
+unsafe fn read_word(user: usize, w: usize) -> u64 {
+    ((user - 8 * w) as *const u64).read_unaligned()
+}
+
+/// Writes header word `w` of `user`.
+///
+/// # Safety
+///
+/// The 8 bytes of word `w` below `user` must be writable and owned by the
+/// caller (or by the quarantine lock it holds).
+#[inline]
+unsafe fn write_word(user: usize, w: usize, v: u64) {
+    ((user - 8 * w) as *mut u64).write_unaligned(v)
+}
+
+/// The check word for `meta` at `user`; never 0, the released state.
+#[inline]
+fn seal(user: usize, meta: u64) -> u64 {
+    ((meta ^ 0x4854_2b48_6561_7021).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ user as u64) | 1
+}
+
+/// Header bytes in front of a buffer: a multiple of `align`, so the user
+/// pointer keeps the caller's alignment.
+#[inline]
+fn header_len(align: usize, vuln: VulnFlags) -> usize {
+    let words = if vuln.contains(VulnFlags::USE_AFTER_FREE) {
+        LINK
+    } else {
+        CHECK
+    };
+    align.max(8 * words)
+}
+
+fn meta_vuln(meta: u64) -> VulnFlags {
+    VulnFlags::from_bits_truncate((meta & VULN_MASK) as u8)
+}
+
+fn meta_align(meta: u64) -> usize {
+    1 << (meta >> ALIGN_SHIFT)
+}
+
+/// The `System` block layout behind an unguarded buffer.
+fn block_layout(size: usize, align: usize, hdr: usize) -> Option<Layout> {
+    Layout::from_size_align(size.checked_add(hdr)?, align.max(16)).ok()
+}
+
+/// Bytes of a guarded region below its guard page: room for the header,
+/// the buffer and the alignment slack.
+fn guard_body(size: usize, align: usize, hdr: usize) -> usize {
+    page_up(size + hdr + align)
+}
+
+/// # Safety
+///
+/// `user` must have a header of at least [`CHECK`] words.
+#[inline]
+unsafe fn write_header(user: usize, meta: u64) {
+    write_word(user, META, meta);
+    write_word(user, CHECK, seal(user, meta));
+}
+
+/// One spin-locked intrusive FIFO of deferred frees, linked through the
+/// [`LINK`] words of the quarantined blocks, with a pure byte quota: push
+/// at the tail, then evict from the head while the bytes exceed the quota
+/// (a block larger than the quota therefore passes straight through) — the
+/// semantics of the simulated backend's quarantine.
+struct Quarantine {
+    lock: SpinLock,
+    fifo: UnsafeCell<Fifo>,
+}
+
+/// Oldest and youngest block (user addresses, 0 = empty) and occupancy.
+struct Fifo {
+    head: usize,
+    tail: usize,
+    blocks: usize,
+    bytes: usize,
+}
+
+// SAFETY: `fifo` and the link words of the blocks it queues are only read
+// or written with `lock` held; `lock` itself is atomic.
+unsafe impl Sync for Quarantine {}
+
+impl Quarantine {
+    const fn new() -> Self {
+        Self {
+            lock: SpinLock::new(),
+            fifo: UnsafeCell::new(Fifo {
+                head: 0,
+                tail: 0,
+                blocks: 0,
+                bytes: 0,
+            }),
+        }
+    }
+
+    /// Appends `user` (a UAF buffer whose [`SIZE`] word is `size`) and
+    /// unlinks the blocks the quota evicts. Returns the oldest of them —
+    /// a chain through [`LINK`] ending in 0 — for the caller to release
+    /// after the lock is dropped.
+    ///
+    /// # Safety
+    ///
+    /// `user` must be a live UAF buffer of this allocator, owned by the
+    /// caller and not already queued.
+    unsafe fn push(&self, user: usize, size: usize, quota: usize) -> usize {
+        write_word(user, LINK, 0);
+        let _g = self.lock.lock();
+        let q = &mut *self.fifo.get();
+        if q.tail == 0 {
+            q.head = user;
+        } else {
+            write_word(q.tail, LINK, user as u64);
+        }
+        q.tail = user;
+        q.blocks += 1;
+        q.bytes += size;
+        if q.bytes <= quota {
+            return 0;
+        }
+        let evicted = q.head;
+        let mut last = 0;
+        while q.bytes > quota && q.head != 0 {
+            last = q.head;
+            q.head = read_word(last, LINK) as usize;
+            q.blocks -= 1;
+            q.bytes -= read_word(last, SIZE) as usize;
+        }
+        write_word(last, LINK, 0);
+        if q.head == 0 {
+            q.tail = 0;
+        }
+        evicted
+    }
+
+    fn usage(&self) -> (usize, usize) {
+        let _g = self.lock.lock();
+        // SAFETY: the lock is held.
+        let q = unsafe { &*self.fifo.get() };
+        (q.blocks, q.bytes)
+    }
+
+    fn contains(&self, user: usize) -> bool {
+        let _g = self.lock.lock();
+        // SAFETY: the lock is held.
+        let mut b = unsafe { (*self.fifo.get()).head };
+        while b != 0 && b != user {
+            // SAFETY: a queued block stays allocated, with its header, while
+            // the lock is held.
+            b = unsafe { read_word(b, LINK) } as usize;
+        }
+        b != 0
+    }
+}
+
+impl std::fmt::Debug for Quarantine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Quarantine").finish_non_exhaustive()
+    }
+}
+
 /// The HeapTherapy+ hardened allocator over the system allocator.
 ///
 /// Usable as a `static` (all state is fixed-size and allocation-free) and
 /// therefore as `#[global_allocator]`. Defenses are driven by the patch set
 /// installed with [`HardenedAlloc::install`]; unpatched allocations pay one
-/// table probe and otherwise go straight to [`System`].
+/// table probe and a 16-byte header, and otherwise go straight to
+/// [`System`].
+///
+/// Every returned buffer carries a header (paper Fig. 6): a meta word
+/// recording the defenses applied, and a check word binding it to the
+/// buffer's address. `dealloc` dispatches on the verified header — no
+/// lock, no lookup — and refuses a free whose header is quarantined or
+/// fails the check (counted in [`HardenedStats::misuse`]).
 #[derive(Debug)]
 pub struct HardenedAlloc {
     patches: PatchSet,
-    registry: Registry,
-    quarantine: QuarantineRing,
+    quarantine: Quarantine,
     quota: AtomicUsize,
     interposed_allocs: StripedCounter,
     interposed_frees: StripedCounter,
@@ -239,6 +494,9 @@ pub struct HardenedAlloc {
     quarantined_bytes: StripedCounter,
     evicted_bytes: StripedCounter,
     fail_open: StripedCounter,
+    misuse: StripedCounter,
+    tagged_allocs: StripedCounter,
+    tagged_frees: StripedCounter,
     /// Telemetry arm switch. Checked only on defense-relevant paths (table
     /// hit, patched free), never on the unpatched fast path — disabled
     /// telemetry therefore costs zero atomics per ordinary allocation.
@@ -267,8 +525,7 @@ impl HardenedAlloc {
     pub const fn new() -> Self {
         Self {
             patches: PatchSet::new(),
-            registry: Registry::new(),
-            quarantine: QuarantineRing::new(),
+            quarantine: Quarantine::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
             interposed_allocs: StripedCounter::new(),
             interposed_frees: StripedCounter::new(),
@@ -280,6 +537,9 @@ impl HardenedAlloc {
             quarantined_bytes: StripedCounter::new(),
             evicted_bytes: StripedCounter::new(),
             fail_open: StripedCounter::new(),
+            misuse: StripedCounter::new(),
+            tagged_allocs: StripedCounter::new(),
+            tagged_frees: StripedCounter::new(),
             telemetry_on: AtomicBool::new(false),
             events: EventRing::new(),
             patch_counters: PatchStripes::new(),
@@ -289,11 +549,9 @@ impl HardenedAlloc {
     /// Installs patches (idempotent per `(FUN, CCID)`; bits merge).
     ///
     /// Returns how many entries were accepted (the fixed table holds 512;
-    /// a [frozen](Self::freeze) table accepts none).
+    /// a [frozen](Self::freeze) table accepts none). Each rejected entry
+    /// counts in [`HardenedStats::fail_open`].
     pub fn install(&self, patches: &[PatchEntry]) -> usize {
-        if self.patches.is_frozen() {
-            return 0;
-        }
         patches
             .iter()
             .filter(|&&p| {
@@ -319,10 +577,15 @@ impl HardenedAlloc {
         self.patches.is_frozen()
     }
 
-    /// Live-pointer registry counters, merged across shards. Conservation
-    /// invariant: `inserts == removes + live()` at any quiescent point.
+    /// Counters over the live header-tagged patched buffers — those whose
+    /// free carries a defense (guarded or UAF). A buffer leaves the count
+    /// when it is freed, whether its free unmaps it or defers it.
+    /// Conservation: `inserts == removes + live()` at any quiescent point.
     pub fn registry_stats(&self) -> RegistryStats {
-        self.registry.stats()
+        RegistryStats {
+            inserts: self.tagged_allocs.load(),
+            removes: self.tagged_frees.load(),
+        }
     }
 
     /// Installs patches from a configuration file in the standard text
@@ -361,6 +624,7 @@ impl HardenedAlloc {
             quarantined_bytes: self.quarantined_bytes.load(),
             evicted_bytes: self.evicted_bytes.load(),
             fail_open: self.fail_open.load(),
+            misuse: self.misuse.load(),
         }
     }
 
@@ -373,13 +637,6 @@ impl HardenedAlloc {
     /// Whether telemetry recording is armed.
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry_on.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn note(&self, ev: Event) {
-        if self.telemetry_on.load(Ordering::Relaxed) {
-            self.events.push(ev);
-        }
     }
 
     /// Records a table hit plus the defenses about to be applied, files
@@ -423,34 +680,28 @@ impl HardenedAlloc {
         }
     }
 
-    /// Records a quarantine defer/evict for a registered entry, filing the
-    /// one-time UAF attack report on the first defer of its patch.
+    /// Records a quarantine defer/evict of a UAF buffer with meta word
+    /// `meta`, filing the one-time UAF attack report on the first defer of
+    /// its patch.
     #[inline]
-    fn note_quarantine(&self, kind: EventKind, e: &Entry) {
-        if !self.telemetry_on.load(Ordering::Relaxed) || e.slot == NO_PATCH_SLOT {
+    fn note_quarantine(&self, kind: EventKind, meta: u64, size: usize) {
+        if !self.telemetry_on.load(Ordering::Relaxed) {
             return;
         }
-        let slot = e.slot as usize;
+        let slot = (meta >> SLOT_SHIFT) as usize % PATCH_SLOTS;
         let Some(p) = self.patches.entry_at(slot) else {
             return;
         };
-        let size = e.size as u64;
-        self.events.push(Event::patched(
-            kind,
-            p.fun,
-            VulnFlags::USE_AFTER_FREE,
-            e.slot,
-            p.ccid,
-            size,
-        ));
-        if kind == EventKind::QuarantineDefer
-            && self.patches.report_once(slot, VulnFlags::USE_AFTER_FREE)
-        {
+        let (slot32, size) = (slot as u32, size as u64);
+        let uaf = VulnFlags::USE_AFTER_FREE;
+        self.events
+            .push(Event::patched(kind, p.fun, uaf, slot32, p.ccid, size));
+        if kind == EventKind::QuarantineDefer && self.patches.report_once(slot, uaf) {
             self.events.push(Event::patched(
                 EventKind::AttackReported,
                 p.fun,
-                VulnFlags::USE_AFTER_FREE,
-                e.slot,
+                uaf,
+                slot32,
                 p.ccid,
                 size,
             ));
@@ -517,21 +768,25 @@ impl HardenedAlloc {
         self.quarantine.usage()
     }
 
-    /// The guard-page address of a guarded live allocation, if any.
-    pub fn guard_page_of(&self, ptr: *mut u8) -> Option<usize> {
-        let e = self.registry.get(ptr as usize)?;
-        if e.region == 0 {
-            return None;
-        }
-        Some(e.region + e.region_len - PAGE)
+    /// The guard-page address of a guarded allocation, read from its
+    /// header; `None` for an unguarded one.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a live allocation of this allocator (or one still in
+    /// its quarantine): the header in front of it is read.
+    pub unsafe fn guard_page_of(&self, ptr: *mut u8) -> Option<usize> {
+        let meta = read_word(ptr as usize, META);
+        let page = (meta >> GUARD_SHIFT) & GUARD_MASK;
+        (page != 0).then(|| (page as usize) * PAGE)
     }
 
     /// `mmap` a region with a trailing `PROT_NONE` guard page and place the
-    /// user buffer so its end abuts the guard (modulo alignment).
-    unsafe fn guarded_alloc(&self, layout: Layout, vuln: VulnFlags, slot: u32) -> *mut u8 {
-        let size = layout.size().max(1);
-        let align = layout.align().max(1);
-        let body = page_up(size + align);
+    /// user buffer so its end abuts the guard (modulo alignment), with its
+    /// header in front of it.
+    unsafe fn guarded_alloc(&self, layout: Layout, hdr: usize, meta: u64) -> *mut u8 {
+        let (size, align) = (layout.size(), layout.align());
+        let body = guard_body(size, align, hdr);
         let total = body + PAGE;
         let region = libc::mmap(
             std::ptr::null_mut(),
@@ -546,34 +801,21 @@ impl HardenedAlloc {
         }
         let region = region as usize;
         let guard = region + body;
-        if libc::mprotect(guard as *mut libc::c_void, PAGE, libc::PROT_NONE) != 0 {
+        // The meta word keeps 36 bits of guard page number.
+        if guard / PAGE > GUARD_MASK as usize
+            || libc::mprotect(guard as *mut libc::c_void, PAGE, libc::PROT_NONE) != 0
+        {
             libc::munmap(region as *mut libc::c_void, total);
             return std::ptr::null_mut();
         }
         let user = (guard - size) & !(align - 1);
-        debug_assert!(user >= region);
-        let entry = Entry {
-            ptr: user,
-            region,
-            region_len: total,
-            vuln: vuln.bits(),
-            slot,
-            size,
-            align,
-        };
-        if !self.registry.insert(entry) {
-            // Fail open: no room to remember the region; fall back to the
-            // system allocator so dealloc stays correct.
-            libc::munmap(region as *mut libc::c_void, total);
-            self.fail_open.incr();
-            self.note(Event::unattributed(
-                EventKind::FailOpen,
-                AllocFn::Malloc,
-                size as u64,
-            ));
-            return System.alloc(layout);
+        debug_assert!(user - hdr >= region);
+        if meta_vuln(meta).contains(VulnFlags::USE_AFTER_FREE) {
+            write_word(user, SIZE, size as u64);
         }
+        write_header(user, meta | ((guard / PAGE) as u64) << GUARD_SHIFT);
         self.guard_pages.incr();
+        self.tagged_allocs.incr();
         user as *mut u8
     }
 
@@ -583,58 +825,90 @@ impl HardenedAlloc {
         let (slot, vuln) = self
             .patches
             .lookup_slot(fun, ccid)
-            .unwrap_or((NO_PATCH_SLOT as usize, VulnFlags::NONE));
+            .unwrap_or((0, VulnFlags::NONE));
         if !vuln.is_empty() {
             self.table_hits.incr();
             self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
         }
+        let (size, align) = (layout.size(), layout.align());
+        let hdr = header_len(align, vuln);
+        let meta = u64::from(vuln.bits())
+            | (slot as u64) << SLOT_SHIFT
+            | u64::from(align.trailing_zeros()) << ALIGN_SHIFT;
         if vuln.contains(VulnFlags::OVERFLOW) {
             // mmap memory is already zeroed, which also covers UR.
             if vuln.contains(VulnFlags::UNINIT_READ) {
                 self.zero_fills.incr();
             }
-            return self.guarded_alloc(layout, vuln, slot as u32);
+            return self.guarded_alloc(layout, hdr, meta);
         }
+        let Some(block) = block_layout(size, align, hdr) else {
+            return std::ptr::null_mut();
+        };
         let p = if zeroed {
-            System.alloc_zeroed(layout)
+            System.alloc_zeroed(block)
         } else {
-            System.alloc(layout)
+            System.alloc(block)
         };
         if p.is_null() {
             return p;
         }
+        let user = p.add(hdr);
         if vuln.contains(VulnFlags::UNINIT_READ) && !zeroed {
-            std::ptr::write_bytes(p, 0, layout.size());
+            std::ptr::write_bytes(user, 0, size);
             self.zero_fills.incr();
         }
         if vuln.contains(VulnFlags::USE_AFTER_FREE) {
-            let entry = Entry {
-                ptr: p as usize,
-                region: 0,
-                region_len: 0,
-                vuln: vuln.bits(),
-                slot: slot as u32,
-                size: layout.size(),
-                align: layout.align(),
-            };
-            if !self.registry.insert(entry) {
-                self.fail_open.incr();
-                self.note(Event::unattributed(
-                    EventKind::FailOpen,
-                    fun,
-                    layout.size() as u64,
-                ));
-            }
+            write_word(user as usize, SIZE, size as u64);
+            self.tagged_allocs.incr();
         }
-        p
+        write_header(user as usize, meta);
+        user
     }
 
-    unsafe fn release(&self, e: Entry) {
-        if e.region != 0 {
-            libc::munmap(e.region as *mut libc::c_void, e.region_len);
+    /// Returns a buffer's memory: `munmap` for a guarded one, [`System`]
+    /// otherwise. The check word is cleared first, so a later free of the
+    /// same pointer fails the header check instead of freeing again.
+    ///
+    /// # Safety
+    ///
+    /// `user` must be a buffer of this allocator with meta word `meta` and
+    /// user size `size`, owned by the caller and not queued.
+    unsafe fn release(&self, user: usize, meta: u64, size: usize) {
+        let align = meta_align(meta);
+        let hdr = header_len(align, meta_vuln(meta));
+        write_word(user, CHECK, 0);
+        let guard = ((meta >> GUARD_SHIFT) & GUARD_MASK) as usize * PAGE;
+        if guard != 0 {
+            let body = guard_body(size, align, hdr);
+            libc::munmap((guard - body) as *mut libc::c_void, body + PAGE);
         } else {
-            let layout = Layout::from_size_align_unchecked(e.size.max(1), e.align.max(1));
-            System.dealloc(e.ptr as *mut u8, layout);
+            // SAFETY: the same layout was valid when the buffer was allocated.
+            let block = block_layout(size, align, hdr).unwrap_unchecked();
+            System.dealloc((user - hdr) as *mut u8, block);
+        }
+    }
+
+    /// Quarantines a UAF buffer and releases whatever the quota evicts.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::release`], and `meta` must carry the UAF bit.
+    unsafe fn defer(&self, user: usize, meta: u64, size: usize) {
+        self.quarantined.incr();
+        self.quarantined_bytes.add(size as u64);
+        self.note_quarantine(EventKind::QuarantineDefer, meta, size);
+        write_header(user, meta | QUARANTINED);
+        let quota = self.quota.load(Ordering::Relaxed);
+        let mut b = self.quarantine.push(user, size, quota);
+        while b != 0 {
+            let next = read_word(b, LINK) as usize;
+            let (meta, size) = (read_word(b, META), read_word(b, SIZE) as usize);
+            self.evictions.incr();
+            self.evicted_bytes.add(size as u64);
+            self.note_quarantine(EventKind::QuarantineEvict, meta, size);
+            self.release(b, meta, size);
+            b = next;
         }
     }
 }
@@ -650,25 +924,20 @@ unsafe impl GlobalAlloc for HardenedAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.interposed_frees.incr();
-        match self.registry.remove(ptr as usize) {
-            Some(e) => {
-                let vuln = VulnFlags::from_bits_truncate(e.vuln);
-                if vuln.contains(VulnFlags::USE_AFTER_FREE) {
-                    self.quarantined.incr();
-                    self.quarantined_bytes.add(e.size as u64);
-                    self.note_quarantine(EventKind::QuarantineDefer, &e);
-                    let quota = self.quota.load(Ordering::Relaxed);
-                    for evicted in self.quarantine.push(e, quota).into_iter().flatten() {
-                        self.evictions.incr();
-                        self.evicted_bytes.add(evicted.size as u64);
-                        self.note_quarantine(EventKind::QuarantineEvict, &evicted);
-                        self.release(evicted);
-                    }
-                } else {
-                    self.release(e);
-                }
-            }
-            None => System.dealloc(ptr, layout),
+        let user = ptr as usize;
+        let meta = read_word(user, META);
+        if read_word(user, CHECK) != seal(user, meta) || meta & QUARANTINED != 0 {
+            self.misuse.incr();
+            return;
+        }
+        let vuln = meta_vuln(meta);
+        if vuln.contains(VulnFlags::OVERFLOW) || vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.tagged_frees.incr();
+        }
+        if vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.defer(user, meta, layout.size());
+        } else {
+            self.release(user, meta, layout.size());
         }
     }
 
@@ -735,24 +1004,29 @@ mod tests {
         let a = HardenedAlloc::new();
         let here = ccid::with_site(0x0F, ccid::current);
         a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::OVERFLOW)]);
+        // A size no other test guards, so a concurrent guarded allocation
+        // cannot refill the freed region in time to fool the last check.
+        // Odd, at alignment 1: the buffer ends exactly at the guard and its
+        // header is not 8-byte aligned.
+        let size = 70_001;
         unsafe {
             let _site = ccid::CallScope::enter(0x0F);
-            let l = layout(1000, 16);
+            let l = layout(size, 1);
             let p = a.alloc(l);
             assert!(!p.is_null());
             // Whole buffer writable.
-            std::ptr::write_bytes(p, 0x55, 1000);
-            // The guard page directly follows (mod alignment slack) and is
-            // PROT_NONE.
+            std::ptr::write_bytes(p, 0x55, size);
+            // The guard page directly follows and is PROT_NONE.
             let guard = a.guard_page_of(p).expect("guarded allocation");
-            assert!(guard >= p as usize + 1000);
-            assert!(guard - (p as usize + 1000) < 16, "end abuts the guard");
+            assert_eq!(guard, p as usize + size, "end abuts the guard");
             assert_eq!(perms_at(guard).as_deref(), Some("---p"));
+            assert_eq!(perms_at(p as usize).as_deref(), Some("rw-p"));
             a.dealloc(p, l);
-            assert!(a.guard_page_of(p).is_none(), "region unmapped on free");
+            assert_eq!(perms_at(p as usize), None, "region unmapped on free");
         }
         assert_eq!(a.stats().guard_pages, 1);
         assert_eq!(a.stats().table_hits, 1);
+        assert_eq!(a.registry_stats().live(), 0);
     }
 
     #[test]
@@ -1089,44 +1363,175 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quarantine_quota_is_honored_with_remainder() {
-        // End-to-end satellite regression: a quota that is not a multiple
-        // of the shard count must still be reachable within one block size
-        // per shard (the old `quota / 8` truncation lost the remainder and
-        // let a saturated shard evict early).
+    /// One UAF-patched allocator with the given quarantine quota.
+    fn uaf_alloc(site: u64, quota: usize) -> HardenedAlloc {
         let a = HardenedAlloc::new();
-        let quota = 2055; // 8 * 256 + 7
         a.set_quarantine_quota(quota);
-        let here = ccid::with_site(0xBB, ccid::current);
+        let here = ccid::with_site(site, ccid::current);
         a.install(&[PatchEntry::new(
             AllocFn::Malloc,
             here,
             VulnFlags::USE_AFTER_FREE,
         )]);
+        a
+    }
+
+    unsafe fn uaf_buffer(a: &HardenedAlloc, site: u64, l: Layout) -> *mut u8 {
+        let _site = ccid::CallScope::enter(site);
+        let p = a.alloc(l);
+        assert!(!p.is_null());
+        p
+    }
+
+    #[test]
+    fn quarantine_is_one_fifo_with_a_pure_byte_quota() {
+        let a = uaf_alloc(0xBB, 1000);
         unsafe {
-            // Hold all allocations live first so 200 *distinct* pointers
-            // are pushed, spreading across every quarantine shard.
-            let l = layout(64, 8);
-            let ptrs: Vec<*mut u8> = (0..200)
-                .map(|_| {
-                    let _site = ccid::CallScope::enter(0xBB);
-                    a.alloc(l)
-                })
-                .collect();
-            for p in ptrs {
-                a.dealloc(p, l);
+            for (size, usage, evictions) in [
+                (600, (1, 600), 0),
+                (300, (2, 900), 0),
+                // Over quota: the oldest block (600) goes.
+                (200, (2, 500), 1),
+                // Larger than the quota: flushes everything, itself too.
+                (2000, (0, 0), 4),
+                (64, (1, 64), 4),
+            ] {
+                let l = layout(size, 16);
+                a.dealloc(uaf_buffer(&a, 0xBB, l), l);
+                assert_eq!(a.quarantine_usage(), usage, "after freeing {size}");
+                assert_eq!(a.stats().evictions, evictions, "after freeing {size}");
             }
         }
-        let (_, bytes) = a.quarantine_usage();
-        assert!(bytes <= quota);
-        assert!(
-            bytes + 8 * 64 > quota,
-            "usage {bytes} cannot reach quota {quota} within one 64-byte \
-             block per shard"
-        );
         let st = a.stats();
-        assert_eq!(st.quarantined_bytes, 200 * 64);
-        assert_eq!(st.quarantined_bytes, st.evicted_bytes + bytes as u64);
+        assert_eq!(st.quarantined_bytes, 3164);
+        assert_eq!(st.quarantined_bytes, st.evicted_bytes + 64);
+    }
+
+    #[test]
+    fn double_free_of_a_held_block_is_refused() {
+        let a = uaf_alloc(0xCC, 1 << 20);
+        unsafe {
+            let l = layout(96, 16);
+            let p = uaf_buffer(&a, 0xCC, l);
+            a.dealloc(p, l);
+            assert_eq!(a.quarantine_usage(), (1, 96));
+            a.dealloc(p, l);
+            assert_eq!(a.quarantine_usage(), (1, 96), "second free changed nothing");
+            assert!(a.is_quarantined(p));
+            // The block was never handed back to the system, so the next
+            // same-size allocation cannot reuse it.
+            let q = a.alloc(l);
+            assert_ne!(q, p);
+            a.dealloc(q, l);
+        }
+        let st = a.stats();
+        assert_eq!(st.misuse, 1);
+        assert_eq!((st.quarantined, st.evictions), (1, 0));
+        assert_eq!(a.registry_stats().live(), 0);
+    }
+
+    #[test]
+    fn double_free_after_eviction_is_refused() {
+        // The quota is smaller than the block: the first free evicts it at
+        // once, so the second free meets a released header.
+        let a = uaf_alloc(0xDD, 64);
+        unsafe {
+            let l = layout(128, 16);
+            let p = uaf_buffer(&a, 0xDD, l);
+            a.dealloc(p, l);
+            assert_eq!(a.quarantine_usage(), (0, 0));
+            assert_eq!(a.stats().evictions, 1);
+            a.dealloc(p, l);
+        }
+        let st = a.stats();
+        assert_eq!(st.misuse, 1);
+        assert_eq!((st.quarantined, st.evictions), (1, 1));
+    }
+
+    #[test]
+    fn frees_of_released_or_foreign_pointers_are_refused() {
+        let a = HardenedAlloc::new();
+        unsafe {
+            let l = layout(48, 8);
+            let p = a.alloc(l);
+            a.dealloc(p, l);
+            a.dealloc(p, l);
+            // A pointer the allocator never returned.
+            let mut foreign = [0u64; 8];
+            a.dealloc(foreign.as_mut_ptr().add(4).cast(), l);
+        }
+        assert_eq!(a.stats().misuse, 2);
+        assert_eq!(a.stats().interposed_frees, 3);
+    }
+
+    #[test]
+    fn headers_keep_large_alignments() {
+        let a = uaf_alloc(0xEE, 1 << 20);
+        unsafe {
+            for align in [1, 8, 16, 32, 64, 4096] {
+                let l = layout(40, align);
+                for p in [a.alloc(l), uaf_buffer(&a, 0xEE, l)] {
+                    assert_eq!(p as usize % align, 0, "align {align}");
+                    std::ptr::write_bytes(p, 0x5A, 40);
+                    a.dealloc(p, l);
+                }
+            }
+        }
+        assert_eq!(a.stats().misuse, 0);
+        assert_eq!(a.quarantine_usage(), (6, 6 * 40));
+    }
+
+    #[test]
+    fn quarantine_conserves_bytes_under_concurrent_churn() {
+        use std::sync::Arc;
+        let a = Arc::new(uaf_alloc(0x77, 16 * 1024));
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let a = Arc::clone(&a);
+                std::thread::spawn(move || unsafe {
+                    for i in 0..2000usize {
+                        let l = layout(16 + (t * 2000 + i) % 200, 8);
+                        a.dealloc(uaf_buffer(&a, 0x77, l), l);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let st = a.stats();
+        let (_, held) = a.quarantine_usage();
+        assert_eq!(st.quarantined, 16_000);
+        assert_eq!(
+            st.quarantined_bytes,
+            st.evicted_bytes + held as u64,
+            "bytes pushed = bytes evicted + bytes held"
+        );
+        assert!(held <= 16 * 1024);
+        assert!(held + 216 > 16 * 1024, "the quota is filled: {held}");
+        assert_eq!(st.misuse, 0);
+    }
+
+    #[test]
+    fn spinlock_mutual_exclusion() {
+        use std::sync::Arc;
+        let lock = Arc::new(SpinLock::new());
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let lock = lock.clone();
+            let counter = counter.clone();
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..1000 {
+                    let _g = lock.lock();
+                    let v = counter.load(Ordering::Relaxed);
+                    counter.store(v + 1, Ordering::Relaxed);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 4000);
     }
 }

@@ -11,13 +11,20 @@
 //!   the installed patch set with the current `(FUN, CCID)`:
 //!   * overflow patches allocate via `mmap` with a trailing
 //!     `PROT_NONE` **guard page** (`libc::mprotect`),
-//!   * use-after-free patches defer frees through a fixed-capacity
-//!     quarantine ring,
+//!   * use-after-free patches defer frees through a byte-quota FIFO
+//!     quarantine,
 //!   * uninitialized-read patches zero the buffer.
 //!
-//! Everything on the allocation path is allocation-free (fixed-size tables,
-//! a spin lock, atomics) so the type is usable as `#[global_allocator]` —
-//! see `examples/hardened_allocator.rs` at the workspace root.
+//!   Every buffer carries a small header (the paper's Fig. 6 metadata word
+//!   plus a check word binding it to the buffer address), so `dealloc`
+//!   dispatches on the buffer itself: no lookup, no lock, no capacity
+//!   limit, and a double free is refused instead of reaching the system
+//!   allocator.
+//!
+//! Everything on the allocation path is allocation-free (a fixed patch
+//! table, per-buffer headers, a spin-locked intrusive FIFO, atomics) so the
+//! type is usable as `#[global_allocator]` — see
+//! `examples/hardened_allocator.rs` at the workspace root.
 //!
 //! `libc` is the one dependency outside the project's standard allowance:
 //! `std` exposes no page-permission API, and guard pages are the point.
@@ -45,8 +52,6 @@
 
 pub mod ccid;
 pub mod galloc;
-mod registry;
 pub mod throughput;
 
-pub use galloc::{HardenedAlloc, HardenedStats, PatchEntry};
-pub use registry::RegistryStats;
+pub use galloc::{HardenedAlloc, HardenedStats, PatchEntry, RegistryStats};

@@ -1,16 +1,16 @@
-//! Per-patch hit/byte counters, striped over cache lines.
+//! Striped counters: a scalar [`StripedCounter`] and per-patch hit/byte
+//! counters ([`PatchStripes`]).
 //!
-//! The frozen patch table gives every patch a stable slot index; these
-//! counters are dense arrays keyed by that index. To keep concurrent
-//! increments contention-free the arrays are **striped**: 16 independent
-//! copies (one per cache-line-padded lane), with each thread hashing to one
-//! lane — the same pattern as the hardened allocator's `StripedCounter`,
-//! extended from a scalar to a per-slot vector. Counts are exact;
-//! [`PatchStripes::merge`] sums the lanes at a quiescent point.
+//! Both keep concurrent increments contention-free the same way: 16
+//! independent cache-line-padded lanes, with each thread hashing once to
+//! one lane. The frozen patch table gives every patch a stable slot index,
+//! and [`PatchStripes`] is a dense per-slot vector per lane. Counts are
+//! exact; reads sum the lanes and are only momentarily racy, as with any
+//! relaxed counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of counter stripes (matches the allocator's counter striping).
+/// Number of counter stripes.
 pub const TELEMETRY_STRIPES: usize = 16;
 
 #[allow(clippy::declare_interior_mutable_const)] // used once per array slot
@@ -38,6 +38,61 @@ thread_local! {
         std::hash::Hash::hash(&std::thread::current().id(), &mut h);
         (std::hash::Hasher::finish(&h) as usize) % TELEMETRY_STRIPES
     };
+}
+
+/// This thread's lane. `try_with` so counting keeps working during thread
+/// teardown, when the thread-local may already be destroyed.
+#[inline]
+fn lane() -> usize {
+    LANE.try_with(|&l| l).unwrap_or(0)
+}
+
+/// One cache-line-padded counter cell, so neighbouring lanes never
+/// false-share.
+#[repr(align(64))]
+#[derive(Debug)]
+struct PaddedU64(AtomicU64);
+
+#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
+const ZERO_CELL: PaddedU64 = PaddedU64(AtomicU64::new(0));
+
+/// A scalar statistics counter striped over cache lines, `const`-
+/// constructible so it can embed in a `static` allocator.
+#[derive(Debug)]
+pub struct StripedCounter {
+    cells: [PaddedU64; TELEMETRY_STRIPES],
+}
+
+impl Default for StripedCounter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StripedCounter {
+    /// A zero counter.
+    pub const fn new() -> Self {
+        Self {
+            cells: [ZERO_CELL; TELEMETRY_STRIPES],
+        }
+    }
+
+    /// Adds `n` on this thread's lane.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cells[lane()].0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// The sum over all lanes.
+    pub fn load(&self) -> u64 {
+        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+    }
 }
 
 /// Merged hit/byte counts of one patch slot.
@@ -85,9 +140,7 @@ impl<const SLOTS: usize> PatchStripes<SLOTS> {
         if slot >= SLOTS {
             return;
         }
-        // `try_with` so recording keeps working during thread teardown.
-        let lane = LANE.try_with(|&l| l).unwrap_or(0);
-        let lane = &self.lanes[lane];
+        let lane = &self.lanes[lane()];
         lane.hits[slot].fetch_add(1, Ordering::Relaxed);
         lane.bytes[slot].fetch_add(bytes, Ordering::Relaxed);
     }
@@ -143,6 +196,24 @@ mod tests {
         s.record(usize::MAX, 100);
         assert!(s.merge().iter().all(|c| c.hits == 0));
         assert_eq!(s.counts(99), PatchCounts::default());
+    }
+
+    #[test]
+    fn striped_counter_is_exact_across_threads() {
+        let c = Arc::new(StripedCounter::new());
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let c = Arc::clone(&c);
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    c.incr();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.load(), 80_000);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   never allocate (a full ring counts a drop instead), so the ring is
 //!   safe to feed from inside a `#[global_allocator]`.
 //! - [`PatchStripes`] — per-patch hit/byte counters striped over 16 cache
-//!   lines (the same striping as the allocator's own counters), keyed by
-//!   the frozen patch table's slot index and merged by
-//!   [`PatchStripes::merge`].
+//!   lines, keyed by the frozen patch table's slot index and merged by
+//!   [`PatchStripes::merge`]; [`StripedCounter`] is the scalar form, which
+//!   the hardened allocator uses for its statistics.
 //! - [`AttackReport`] — the paper-style structured report, rendered exactly
 //!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
 //!   (a lock-free once-bit in the patch meta word) so this crate only
@@ -35,7 +35,7 @@ mod report;
 mod ring;
 mod spans;
 
-pub use counters::{PatchCounts, PatchStripes, TELEMETRY_STRIPES};
+pub use counters::{PatchCounts, PatchStripes, StripedCounter, TELEMETRY_STRIPES};
 pub use event::{Event, EventKind, NO_SLOT};
 pub use report::{defense_for, AttackReport};
 pub use ring::{EventRing, RING_CAPACITY};

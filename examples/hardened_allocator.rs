@@ -67,8 +67,8 @@ fn main() {
 
     // The patched context: the Vec's buffer is guarded on real pages.
     let hot = handle_request(4000);
-    let guard = ALLOC
-        .guard_page_of(hot.as_ptr() as *mut u8)
+    // SAFETY: `hot` is a live allocation of `ALLOC`.
+    let guard = unsafe { ALLOC.guard_page_of(hot.as_ptr() as *mut u8) }
         .expect("patched allocation is guarded");
     println!(
         "patched Vec at {:p}: guard page at {:#x} with permissions {:?}",
@@ -89,12 +89,14 @@ fn main() {
     let stats = ALLOC.stats();
     println!(
         "\nallocator stats: {} allocations interposed, {} table hits, \
-         {} guard pages, {} zero-fills, {} quarantined",
+         {} guard pages, {} zero-fills, {} quarantined, {} misuse",
         stats.interposed_allocs,
         stats.table_hits,
         stats.guard_pages,
         stats.zero_fills,
-        stats.quarantined
+        stats.quarantined,
+        stats.misuse
     );
+    assert_eq!(stats.misuse, 0, "every free met a valid header");
     println!("\nOK: HeapTherapy+ defenses active on the real process heap.");
 }

@@ -1,9 +1,9 @@
-//! Threaded stress and property coverage for the sharded hardened
-//! allocator: with 8 threads hammering patched and unpatched contexts, the
-//! registry never loses or corrupts a live pointer, and the striped
-//! counters conserve (allocs = frees, registry inserts = removes + live,
-//! quarantined bytes = evicted bytes + bytes still held) — including under
-//! eviction-heavy quarantine quotas and with telemetry armed.
+//! Threaded stress and property coverage for the hardened allocator: with
+//! 8 threads hammering patched and unpatched contexts, no live buffer is
+//! lost or corrupted, and the striped counters conserve (allocs = frees,
+//! tagged inserts = removes + live, quarantined bytes = evicted bytes +
+//! bytes still held) — including under eviction-heavy quarantine quotas
+//! and with telemetry armed.
 //!
 //! Everything goes through the public API plus the safe
 //! [`throughput`](heaptherapy_plus::hardened_alloc::throughput) drivers —
@@ -70,12 +70,13 @@ fn threaded_pairs_conserve_every_counter() {
     assert_eq!(st.quarantined, 3 * patched_per_thread);
     assert_eq!(st.zero_fills, 2 * patched_per_thread);
     assert!(st.evictions <= st.quarantined);
-    assert_eq!(st.fail_open, 0, "registry/table never filled up");
+    assert_eq!(st.fail_open, 0, "the patch table never filled up");
+    assert_eq!(st.misuse, 0);
 
-    // Registry conservation: every guarded or quarantine-bound allocation
-    // was inserted exactly once and removed exactly once (UR-only buffers
-    // are zeroed, not registered; quarantined blocks leave the registry
-    // when their free is deferred).
+    // Tagged-buffer conservation: every guarded or quarantine-bound
+    // allocation was counted in exactly once and out exactly once (UR-only
+    // buffers are zeroed, not tagged; quarantined blocks count out when
+    // their free is deferred).
     let rs = a.registry_stats();
     assert_eq!(rs.inserts, rs.removes + rs.live());
     assert_eq!(rs.live(), 0, "no patched pointer leaked");
@@ -86,9 +87,8 @@ fn threaded_pairs_conserve_every_counter() {
     );
 }
 
-/// 8 threads each hold a large batch of patched allocations live at once —
-/// entries from all threads interleave across every registry shard — then
-/// verify their buffers byte-for-byte before freeing.
+/// 8 threads each hold a large batch of patched allocations live at once,
+/// then verify their buffers byte-for-byte before freeing.
 #[test]
 fn threaded_batches_never_lose_or_corrupt_live_pointers() {
     const THREADS: usize = 8;
@@ -120,7 +120,7 @@ fn eviction_heavy_quarantine_conserves_bytes_and_reports_once() {
     const THREADS: usize = 8;
     const PAIRS: u64 = 512;
     const SIZE: usize = 128;
-    const QUOTA: usize = 1024; // a handful of 128 B blocks across 8 shards
+    const QUOTA: usize = 1024; // eight 128 B blocks
     let a = patched_alloc();
     a.set_quarantine_quota(QUOTA);
     a.set_telemetry(true);
@@ -160,6 +160,22 @@ fn eviction_heavy_quarantine_conserves_bytes_and_reports_once() {
         "every event either delivered or counted as dropped"
     );
     assert_eq!(snap.reports.len(), 1, "one UAF report, filed exactly once");
+}
+
+/// 10 000 UAF-patched buffers live at once are all tagged and all deferred
+/// on free: per-buffer headers have no capacity limit to fail open at.
+#[test]
+fn ten_thousand_live_uaf_buffers_are_all_deferred() {
+    const COUNT: usize = 10_000;
+    let a = patched_alloc();
+    assert_eq!(throughput::hardened_batch(&a, COUNT, 64, UAF_SITE), 0);
+    let st = a.stats();
+    assert_eq!(st.fail_open, 0);
+    assert_eq!(st.quarantined, COUNT as u64);
+    assert_eq!(st.evictions, 0, "the default quota holds them all");
+    assert_eq!(a.quarantine_usage(), (COUNT, COUNT * 64));
+    let rs = a.registry_stats();
+    assert_eq!((rs.inserts, rs.live()), (COUNT as u64, 0));
 }
 
 /// One thread's mixed workload, used as the proptest unit below.
@@ -232,6 +248,7 @@ proptest! {
         );
         prop_assert!(st.evictions <= st.quarantined);
         prop_assert_eq!(st.fail_open, 0);
+        prop_assert_eq!(st.misuse, 0);
         // Byte conservation: whatever the quota forced out plus whatever is
         // still held is exactly what was deferred.
         let (_, held_bytes) = a.quarantine_usage();
