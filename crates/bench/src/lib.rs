@@ -40,6 +40,31 @@ pub mod telemetry;
 
 use std::time::Instant;
 
+/// Cores this process may run on, as every committed `BENCH_*.json`
+/// records them (0 when unknown).
+pub fn nproc() -> u64 {
+    std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
+}
+
+/// The commit the working directory is checked out at: the full hash,
+/// suffixed `-dirty` when the tree has uncommitted changes, or `unknown`
+/// outside a git checkout.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 /// Median-of-`n` wall-time measurement of `f`, in seconds.
 ///
 /// Runs one untimed warm-up iteration first so cold-start effects (page

@@ -176,9 +176,12 @@ pub fn rows(max_threads: usize, pairs_per_thread: u64) -> Vec<ScalingRow> {
 }
 
 /// The committed-baseline JSON shape (`BENCH_scaling.json`): ops/sec
-/// rounded to integers, since the wire format is integer-only.
+/// rounded to integers, since the wire format is integer-only, with the
+/// cores and commit the rows were measured on.
 pub fn to_json(rows: &[ScalingRow], pairs_per_thread: u64) -> Json {
     Json::Obj(vec![
+        ("nproc".into(), Json::U64(crate::nproc())),
+        ("commit".into(), Json::Str(crate::git_commit())),
         ("alloc_size".into(), Json::U64(ALLOC_SIZE as u64)),
         ("pairs_per_thread".into(), Json::U64(pairs_per_thread)),
         ("patched_every".into(), Json::U64(PATCHED_EVERY)),
@@ -265,5 +268,7 @@ mod tests {
         let j = to_json(&rs, 500);
         let parsed = Json::parse(&j.to_pretty()).expect("self-emitted JSON parses");
         assert_eq!(parsed, j);
+        assert!(j.req_u64("nproc").unwrap() > 0, "the machine is recorded");
+        assert!(!j.req_str("commit").unwrap().is_empty());
     }
 }

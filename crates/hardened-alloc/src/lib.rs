@@ -10,7 +10,9 @@
 //! * [`HardenedAlloc`] — wraps the system allocator; every allocation probes
 //!   the installed patch set with the current `(FUN, CCID)`:
 //!   * overflow patches allocate via `mmap` with a trailing
-//!     `PROT_NONE` **guard page** (`libc::mprotect`),
+//!     `PROT_NONE` **guard page** (`libc::mprotect`); freed guarded
+//!     regions are recycled through a bounded per-page-count cache, so a
+//!     guarded allocation usually takes no system call,
 //!   * use-after-free patches defer frees through a byte-quota FIFO
 //!     quarantine,
 //!   * uninitialized-read patches zero the buffer.
@@ -22,7 +24,8 @@
 //!   allocator.
 //!
 //! Everything on the allocation path is allocation-free (a fixed patch
-//! table, per-buffer headers, a spin-locked intrusive FIFO, atomics) so the
+//! table, per-buffer headers, a spin-locked intrusive FIFO, a fixed guard
+//! cache, atomics) so the
 //! type is usable as `#[global_allocator]` — see
 //! `examples/hardened_allocator.rs` at the workspace root.
 //!

@@ -94,6 +94,99 @@ pub fn hardened_batch(a: &HardenedAlloc, count: usize, size: usize, site: u64) -
     corrupt
 }
 
+/// The patched call sites [`guarded_churn`] allocates in, one per guarded
+/// allocation path.
+#[derive(Debug, Clone, Copy)]
+pub struct GuardedSites {
+    /// Patched OF on malloc.
+    pub malloc: u64,
+    /// Patched OF|UR on malloc.
+    pub malloc_ur: u64,
+    /// Patched OF on calloc.
+    pub calloc: u64,
+    /// Patched OF on realloc.
+    pub realloc: u64,
+}
+
+/// For each round and each of `sizes`, allocates four guarded buffers and
+/// holds them live together: malloc (OF), malloc (OF|UR), calloc (OF), and
+/// an unpatched half-size buffer grown by realloc (OF). Each is checked,
+/// filled with `tag`, re-checked once all four are filled, then freed.
+///
+/// Returns the number of defects: a buffer that does not end within its
+/// alignment of its guard page, a nonzero byte between its end and the
+/// guard or anywhere in a calloc or UR buffer, a realloc that lost its
+/// contents, or a tag that changed while the buffer was live.
+pub fn guarded_churn(
+    a: &HardenedAlloc,
+    rounds: usize,
+    sizes: &[usize],
+    sites: GuardedSites,
+    tag: u8,
+) -> usize {
+    let mut defects = 0;
+    for _ in 0..rounds {
+        for &size in sizes {
+            let l = layout(size);
+            let half = layout(size / 2);
+            // SAFETY: every buffer comes from `a` (`old` with `half`, the
+            // others with `l`), is checked non-null before use, is only
+            // touched within its size (or, past its end, up to its guard
+            // page, which is mapped), and is freed exactly once.
+            unsafe {
+                let old = a.alloc(half);
+                assert!(!old.is_null());
+                std::ptr::write_bytes(old, tag, half.size());
+                let grown = ccid::with_site(sites.realloc, || a.realloc(old, half, size));
+                assert!(!grown.is_null());
+                if !holds(grown, half.size(), tag) {
+                    defects += 1;
+                }
+                let bufs = [
+                    (ccid::with_site(sites.malloc, || a.alloc(l)), false),
+                    (ccid::with_site(sites.malloc_ur, || a.alloc(l)), true),
+                    (ccid::with_site(sites.calloc, || a.alloc_zeroed(l)), true),
+                    (grown, false),
+                ];
+                assert!(bufs.iter().all(|(p, _)| !p.is_null()));
+                for &(p, zeroed) in &bufs {
+                    let Some(guard) = a.guard_page_of(p) else {
+                        defects += 1;
+                        continue;
+                    };
+                    let end = p as usize + size;
+                    let from = if zeroed { p as usize } else { end };
+                    if guard < end
+                        || guard - end >= l.align()
+                        || !holds(from as *mut u8, guard - from, 0)
+                    {
+                        defects += 1;
+                    }
+                    std::ptr::write_bytes(p, tag, size);
+                }
+                for (p, _) in bufs {
+                    if !holds(p, size, tag) {
+                        defects += 1;
+                    }
+                    a.dealloc(p, l);
+                }
+            }
+        }
+    }
+    defects
+}
+
+/// Whether all `len` bytes at `p` equal `byte`.
+///
+/// # Safety
+///
+/// The bytes must be readable.
+unsafe fn holds(p: *const u8, len: usize, byte: u8) -> bool {
+    std::slice::from_raw_parts(p, len)
+        .iter()
+        .all(|&b| b == byte)
+}
+
 /// The CCID observed from inside instrumented site `site` on this thread —
 /// what a patch targeting that site must carry.
 pub fn site_ccid(site: u64) -> u64 {

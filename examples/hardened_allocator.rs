@@ -89,14 +89,20 @@ fn main() {
     let stats = ALLOC.stats();
     println!(
         "\nallocator stats: {} allocations interposed, {} table hits, \
-         {} guard pages, {} zero-fills, {} quarantined, {} misuse",
+         {} guard pages ({} regions mapped), {} zero-fills, {} quarantined, \
+         {} misuse",
         stats.interposed_allocs,
         stats.table_hits,
         stats.guard_pages,
+        stats.guard_maps,
         stats.zero_fills,
         stats.quarantined,
         stats.misuse
     );
     assert_eq!(stats.misuse, 0, "every free met a valid header");
+    assert!(
+        stats.guard_maps <= stats.guard_pages,
+        "a guarded region is mapped only for a guarded allocation"
+    );
     println!("\nOK: HeapTherapy+ defenses active on the real process heap.");
 }

@@ -178,6 +178,55 @@ fn ten_thousand_live_uaf_buffers_are_all_deferred() {
     assert_eq!((rs.inserts, rs.live()), (COUNT as u64, 0));
 }
 
+/// 8 threads churn guarded buffers through the guard cache across several
+/// page classes (and one body above the largest, which is unmapped on
+/// free), on every guarded path: OF malloc, OF|UR malloc, calloc and
+/// realloc under OF. Every buffer ends at its guard, reads zero where it
+/// must and keeps its tag while live; no free is refused.
+#[test]
+fn threaded_guarded_churn_recycles_regions_safely() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 16;
+    // Bodies of 1, 1, 2, 3, 5 and 18 pages.
+    const SIZES: [usize; 6] = [24, 3000, 5000, 9001, 20_000, 70_001];
+    let sites = throughput::GuardedSites {
+        malloc: 0xF400,
+        malloc_ur: 0xF500,
+        calloc: 0xF600,
+        realloc: 0xF700,
+    };
+    let a = Box::new(HardenedAlloc::new());
+    let of = VulnFlags::OVERFLOW;
+    let installed = a.install(&[
+        PatchEntry::new(AllocFn::Malloc, throughput::site_ccid(sites.malloc), of),
+        PatchEntry::new(
+            AllocFn::Malloc,
+            throughput::site_ccid(sites.malloc_ur),
+            of | VulnFlags::UNINIT_READ,
+        ),
+        PatchEntry::new(AllocFn::Calloc, throughput::site_ccid(sites.calloc), of),
+        PatchEntry::new(AllocFn::Realloc, throughput::site_ccid(sites.realloc), of),
+    ]);
+    assert_eq!(installed, 4);
+    a.freeze();
+
+    ht_par::par_spawn(THREADS, |i| {
+        let defects = throughput::guarded_churn(&a, ROUNDS, &SIZES, sites, 1 + i as u8);
+        assert_eq!(defects, 0, "thread {i}");
+    });
+
+    let st = a.stats();
+    let of_allocs = (THREADS * ROUNDS * SIZES.len() * 4) as u64;
+    assert_eq!(st.guard_pages, of_allocs);
+    assert!(
+        st.guard_maps < st.guard_pages,
+        "regions were recycled: {st:?}"
+    );
+    assert_eq!(st.zero_fills, of_allocs / 4);
+    assert_eq!(st.misuse, 0);
+    assert_eq!(a.registry_stats().live(), 0);
+}
+
 /// One thread's mixed workload, used as the proptest unit below.
 #[derive(Debug, Clone, Copy)]
 struct Workload {
