@@ -278,10 +278,13 @@ pub fn run(samples: usize, repeat: usize) -> ShadowBenchReport {
     }
 }
 
-/// The committed-baseline JSON shape (`BENCH_shadow.json`). The wire format
-/// is integer-only, so ratios are stored ×100.
+/// The committed-baseline JSON shape (`BENCH_shadow.json`), with the cores
+/// and commit it was measured on. The wire format is integer-only, so
+/// ratios are stored ×100.
 pub fn to_json(r: &ShadowBenchReport, samples: usize, repeat: usize) -> Json {
     Json::Obj(vec![
+        ("nproc".into(), Json::U64(crate::nproc())),
+        ("commit".into(), Json::Str(crate::git_commit())),
         ("samples".into(), Json::U64(samples as u64)),
         ("repeat".into(), Json::U64(repeat as u64)),
         ("corpus_events".into(), Json::U64(r.word.events)),
@@ -363,5 +366,7 @@ mod tests {
         let j = to_json(&report, 3, 1);
         let parsed = Json::parse(&j.to_pretty()).expect("self-emitted JSON parses");
         assert_eq!(parsed, j);
+        assert!(j.req_u64("nproc").unwrap() > 0, "the machine is recorded");
+        assert!(!j.req_str("commit").unwrap().is_empty());
     }
 }

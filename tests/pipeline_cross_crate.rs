@@ -5,10 +5,34 @@ use heaptherapy_plus::callgraph::Strategy;
 use heaptherapy_plus::core::{HeapTherapy, PipelineConfig};
 use heaptherapy_plus::defense::{DefendedBackend, DefenseConfig};
 use heaptherapy_plus::encoding::{decode, Ccid, Scheme};
-use heaptherapy_plus::memsim::BumpAllocator;
+use heaptherapy_plus::memsim::{BumpAllocator, PAGE_SIZE};
 use heaptherapy_plus::patch::{from_config_json, to_config_json, PatchTable};
-use heaptherapy_plus::simprog::Interpreter;
+use heaptherapy_plus::simprog::{Interpreter, PlainBackend};
 use heaptherapy_plus::vulnapps;
+
+/// Simulated memory costs what a run writes, not what it maps: after a
+/// native Heartbleed run the materialized pages are exactly the resident
+/// ones, and only a fraction of the arenas mapped for it.
+#[test]
+fn native_run_materializes_only_written_pages() {
+    let app = vulnapps::heartbleed();
+    let ht = HeapTherapy::new(PipelineConfig::default());
+    let ip = ht.instrument(&app.program);
+    let mut interp = Interpreter::new(&app.program, &ip.plan, PlainBackend::new());
+    assert!(app.attack_succeeded(&interp.run(app.patching_input())));
+    let space = interp.backend().space();
+    assert!(space.materialized_pages() > 0);
+    assert_eq!(
+        space.materialized_pages() as u64 * PAGE_SIZE,
+        space.rss_bytes()
+    );
+    assert!(
+        space.rss_bytes() < space.mapped_bytes() / 4,
+        "{} resident of {} mapped",
+        space.rss_bytes(),
+        space.mapped_bytes()
+    );
+}
 
 /// The paper's "no dependency on specific allocators": run a protected
 /// vulnapp over a *bump* allocator instead of the free-list one; the
