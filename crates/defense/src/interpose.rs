@@ -7,7 +7,7 @@ use ht_memsim::{
     Addr, AddressSpace, AllocStats, BaseAllocator, FreeListAllocator, Perm, SpaceStats, PAGE_SIZE,
 };
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
-use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
+use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, Sink, StopCause};
 use ht_telemetry::{
     AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetryConfig, TelemetrySnapshot,
     NO_SLOT,
@@ -328,11 +328,13 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         ));
     }
 
-    /// Records an access stopped at a guard page. The faulting access does
-    /// not identify its buffer, so the event is unattributed (the paper's
-    /// SIGSEGV handler recovers the context from the fault address; the sim
-    /// keeps only the count and the attempted length).
-    fn note_trip(&mut self, len: u64) {
+    /// Counts an access stopped at a guard page and records its trip. The
+    /// faulting access does not identify its buffer, so the event is
+    /// unattributed (the paper's SIGSEGV handler recovers the context from
+    /// the fault address; the sim keeps only the count and the attempted
+    /// length).
+    fn note_blocked(&mut self, len: u64) {
+        self.stats.blocked_accesses += 1;
         if let Some(tel) = &mut self.telemetry {
             tel.ring.push(Event::unattributed(
                 EventKind::GuardTrip,
@@ -542,59 +544,34 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
         match self.space.fill(addr, len, byte) {
             Ok(()) => AccessOutcome::Ok,
             Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
-                AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: true,
-                })
+                self.note_blocked(len);
+                AccessOutcome::segfault(f, true)
             }
         }
     }
 
-    fn read(&mut self, addr: Addr, len: u64, _sink: Sink) -> ReadResult {
-        let mut data = vec![0u8; len as usize];
-        match self.space.read(addr, &mut data) {
-            Ok(()) => ReadResult {
-                data,
-                outcome: AccessOutcome::Ok,
-            },
+    fn read(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        _sink: Sink,
+        out: Option<&mut Vec<u8>>,
+    ) -> AccessOutcome {
+        match self.space.read_append(addr, len, out) {
+            Ok(()) => AccessOutcome::Ok,
             Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
-                data.truncate(f.completed as usize);
-                ReadResult {
-                    data,
-                    outcome: AccessOutcome::Stop(StopCause::Segfault {
-                        addr: f.addr,
-                        write: false,
-                    }),
-                }
+                self.note_blocked(len);
+                AccessOutcome::segfault(f, false)
             }
         }
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let mut buf = vec![0u8; len as usize];
-        if let Err(f) = self.space.read(src, &mut buf) {
-            self.stats.blocked_accesses += 1;
-            self.note_trip(len);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
+        let r = self.space.copy(src, dst, len);
+        if r.is_err() {
+            self.note_blocked(len);
         }
-        match self.space.write(dst, &buf) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => {
-                self.stats.blocked_accesses += 1;
-                self.note_trip(len);
-                AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: true,
-                })
-            }
-        }
+        AccessOutcome::from_copy(r)
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
@@ -621,6 +598,18 @@ mod tests {
         }
     }
 
+    /// Reads `len` bytes at `addr` into a fresh buffer.
+    fn read_vec<A: BaseAllocator>(
+        d: &mut DefendedBackend<A>,
+        addr: Addr,
+        len: u64,
+        sink: Sink,
+    ) -> (Vec<u8>, AccessOutcome) {
+        let mut out = Vec::new();
+        let outcome = d.read(addr, len, sink, Some(&mut out));
+        (out, outcome)
+    }
+
     fn table(fun: AllocFn, ccid: u64, vuln: VulnFlags) -> PatchTable {
         PatchTable::from_patches([Patch::new(fun, ccid, vuln)])
     }
@@ -637,8 +626,8 @@ mod tests {
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
         assert!(d.write(p, 64, 0xAA).is_ok());
-        let r = d.read(p, 64, Sink::Discard);
-        assert_eq!(r.data, vec![0xAA; 64]);
+        let (data, _) = read_vec(&mut d, p, 64, Sink::Discard);
+        assert_eq!(data, vec![0xAA; 64]);
         assert!(d.free(p).is_ok());
         let st = d.stats();
         assert_eq!(st.guard_pages, 0);
@@ -676,10 +665,10 @@ mod tests {
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         d.write(p, 100, 0x41);
-        let r = d.read(p, 100_000, Sink::Leak);
-        assert!(!r.outcome.is_ok(), "overread blocked");
+        let (data, outcome) = read_vec(&mut d, p, 100_000, Sink::Leak);
+        assert!(!outcome.is_ok(), "overread blocked");
         assert!(
-            r.data.len() < 100 + PAGE_SIZE as usize,
+            data.len() < 100 + PAGE_SIZE as usize,
             "leak capped at guard"
         );
     }
@@ -702,8 +691,8 @@ mod tests {
         assert_ne!(q, p);
         d.write(q, 64, 0x66);
         // Dangling read sees stale victim data, not attacker bytes.
-        let r = d.read(p, 8, Sink::Addr);
-        assert_eq!(r.data, vec![0x01; 8], "no hijack: stale data only");
+        let (data, _) = read_vec(&mut d, p, 8, Sink::Addr);
+        assert_eq!(data, vec![0x01; 8], "no hijack: stale data only");
     }
 
     #[test]
@@ -733,14 +722,14 @@ mod tests {
         d.free(warm2);
         // Patched context reuses the LIFO head (warm2): must come back zeroed.
         let q = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
-        let r = d.read(q, 64, Sink::Leak);
-        assert_eq!(r.data, vec![0u8; 64], "nothing but zeros leaks");
+        let (data, _) = read_vec(&mut d, q, 64, Sink::Leak);
+        assert_eq!(data, vec![0u8; 64], "nothing but zeros leaks");
         assert_eq!(d.stats().zero_fill_bytes, 64);
         // An unpatched sibling (reusing warm1) still sees stale bytes —
         // the defense is targeted, not global.
         let s = d.alloc(&req(AllocFn::Malloc, 64, SAFE)).unwrap();
-        let r = d.read(s, 64, Sink::Leak);
-        assert_eq!(r.data, vec![0xEE; 64], "unpatched context untouched");
+        let (data, _) = read_vec(&mut d, s, 64, Sink::Leak);
+        assert_eq!(data, vec![0xEE; 64], "unpatched context untouched");
     }
 
     #[test]
@@ -791,8 +780,8 @@ mod tests {
         r.old_ptr = Some(p);
         let q = d.alloc(&r).unwrap();
         // Content preserved.
-        let got = d.read(q, 32, Sink::Discard);
-        assert_eq!(got.data, vec![0x22; 32]);
+        let (data, _) = read_vec(&mut d, q, 32, Sink::Discard);
+        assert_eq!(data, vec![0x22; 32]);
         // New buffer is guarded.
         assert!(!d.write(q, 10_000, 1).is_ok());
     }
@@ -805,8 +794,8 @@ mod tests {
         let mut r = req(AllocFn::Realloc, 10, SAFE);
         r.old_ptr = Some(p);
         let q = d.alloc(&r).unwrap();
-        let got = d.read(q, 10, Sink::Discard);
-        assert_eq!(got.data, vec![0x77; 10]);
+        let (data, _) = read_vec(&mut d, q, 10, Sink::Discard);
+        assert_eq!(data, vec![0x77; 10]);
     }
 
     #[test]
@@ -837,8 +826,8 @@ mod tests {
         d.free(warm);
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         // UR: zeroed.
-        let r = d.read(p, 100, Sink::Leak);
-        assert_eq!(r.data, vec![0u8; 100]);
+        let (data, _) = read_vec(&mut d, p, 100, Sink::Leak);
+        assert_eq!(data, vec![0u8; 100]);
         // OF: guarded.
         assert!(!d.write(p, 9_000, 1).is_ok());
         // UAF: deferred.
@@ -858,8 +847,8 @@ mod tests {
         assert_eq!(st.table_lookups, 0, "no probe without metadata");
         // calloc zeroes even here.
         let c = d.alloc(&req(AllocFn::Calloc, 32, SAFE)).unwrap();
-        let r = d.read(c, 32, Sink::Discard);
-        assert_eq!(r.data, vec![0u8; 32]);
+        let (data, _) = read_vec(&mut d, c, 32, Sink::Discard);
+        assert_eq!(data, vec![0u8; 32]);
     }
 
     #[test]
@@ -905,8 +894,8 @@ mod tests {
         d.write(p, 64, 0xFF);
         d.free(p);
         let q = d.alloc(&req(AllocFn::Calloc, 64, SAFE)).unwrap();
-        let r = d.read(q, 64, Sink::Discard);
-        assert_eq!(r.data, vec![0u8; 64]);
+        let (data, _) = read_vec(&mut d, q, 64, Sink::Discard);
+        assert_eq!(data, vec![0u8; 64]);
     }
 
     #[test]
@@ -1036,8 +1025,7 @@ mod tests {
         )));
         let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
         assert!(!d.write(p, 50_000, 1).is_ok());
-        let r = d.read(p, 50_000, Sink::Leak);
-        assert!(!r.outcome.is_ok());
+        assert!(!d.read(p, 50_000, Sink::Leak, None).is_ok());
         let snap = d.telemetry_snapshot().unwrap();
         let trips = snap
             .events

@@ -41,7 +41,7 @@ pub mod space;
 
 pub use alloc::{AllocError, AllocStats, BaseAllocator, BumpAllocator, FreeListAllocator};
 pub use hash::FastMap;
-pub use space::{Addr, AddressSpace, FaultKind, MemFault, Perm, SpaceStats, PAGE_SIZE};
+pub use space::{Addr, AddressSpace, CopyFault, FaultKind, MemFault, Perm, SpaceStats, PAGE_SIZE};
 
 /// Rounds `v` up to the next multiple of `align` (a power of two).
 ///

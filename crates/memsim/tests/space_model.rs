@@ -3,10 +3,12 @@
 //! The model maps every page up front as a zeroed `Vec<u8>` with its own
 //! permission and dirty bit, and moves one byte at a time, so each fault's
 //! `addr`/`completed` follows directly from the definitions. Random op
-//! sequences run on both; after every op the results, `perm_at` over the
-//! whole touched area and every `SpaceStats` field must agree.
+//! sequences run on both; after every op the results (appended read
+//! prefixes and faults included), the bytes of the pages it touched,
+//! `perm_at` over the whole touched area, every `SpaceStats` field and the
+//! materialized page count must agree.
 
-use ht_memsim::{Addr, AddressSpace, FaultKind, MemFault, Perm, SpaceStats, PAGE_SIZE};
+use ht_memsim::{Addr, AddressSpace, CopyFault, FaultKind, MemFault, Perm, SpaceStats, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -114,16 +116,33 @@ impl Model {
         Ok(())
     }
 
-    /// Whole-buffer `memmove`: read everything, then write everything, each
-    /// range validated first (src before dst).
-    fn copy_raw(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), MemFault> {
-        let mut tmp = vec![0; len as usize];
-        self.read(src, &mut tmp, false)?;
-        let unmapped = (0..len).find(|i| !self.pages.contains_key(&((dst + i) / PAGE_SIZE)));
-        if let Some(i) = unmapped {
-            return Err(fault(dst + i, FaultKind::Unmapped, i));
+    /// Byte-at-a-time read appended to `out`, if any.
+    fn read_append(
+        &self,
+        addr: Addr,
+        len: u64,
+        out: Option<&mut Vec<u8>>,
+        checked: bool,
+    ) -> Result<(), MemFault> {
+        let mut buf = vec![0; len as usize];
+        let r = self.read(addr, &mut buf, checked);
+        let done = r.err().map_or(len, |f| f.completed);
+        if let Some(out) = out {
+            out.extend_from_slice(&buf[..done as usize]);
         }
-        self.write(dst, &tmp, false)
+        r
+    }
+
+    /// Whole-buffer `memmove`: read the whole source, then write it until
+    /// the first byte of the destination that cannot take it.
+    fn copy(&mut self, src: Addr, dst: Addr, len: u64, checked: bool) -> Result<(), CopyFault> {
+        let mut tmp = vec![0; len as usize];
+        self.read(src, &mut tmp, checked).map_err(CopyFault::Read)?;
+        self.write(dst, &tmp, checked).map_err(CopyFault::Write)
+    }
+
+    fn materialized_pages(&self) -> usize {
+        self.pages.values().filter(|p| p.dirty).count()
     }
 }
 
@@ -222,6 +241,26 @@ fn step(
                 return Err(format!("read bytes differ at {addr:#x}+{len}"));
             }
         }
+        11 | 12 => {
+            // Appending read, onto what is already there or into nothing.
+            let checked = kind == 11;
+            let (mut x, mut y) = (vec![byte; 3], vec![byte; 3]);
+            let (ox, oy) = match byte % 2 {
+                0 => (Some(&mut x), Some(&mut y)),
+                _ => (None, None),
+            };
+            let rx = if checked {
+                real.read_append(addr, len, ox)
+            } else {
+                real.read_append_raw(addr, len, ox)
+            };
+            same(
+                "read_append",
+                &rx,
+                &model.read_append(addr, len, oy, checked),
+            )?;
+            same("appended", &x, &y)?;
+        }
         6 | 7 => {
             let data: Vec<u8> = (0..len).map(|i| byte.wrapping_add(i as u8)).collect();
             let (rx, ry) = if kind == 6 {
@@ -257,10 +296,12 @@ fn step(
             )?;
         }
         _ => {
-            // copy_raw: overlapping in either direction, or between
-            // mappings. An overlapping copy first stamps a distinct pattern
-            // over its source (where mapped), so a wrong copy direction
-            // shows in the bytes.
+            // copy / copy_raw: overlapping in either direction, or between
+            // mappings; either side may run into a gap or a protected page.
+            // An overlapping copy first stamps a distinct pattern over its
+            // source (where mapped), so a wrong copy direction shows in the
+            // bytes.
+            let checked = kind == 13;
             let delta = (b >> 20) % (PAGE_SIZE + 300);
             let dst = match byte % 3 {
                 0 => addr + delta,
@@ -275,13 +316,21 @@ fn step(
                     &model.write(addr, &stamp, false),
                 )?;
             }
-            same(
-                "copy_raw",
-                &real.copy_raw(addr, dst, len),
-                &model.copy_raw(addr, dst, len),
-            )?;
+            let rx = if checked {
+                real.copy(addr, dst, len)
+            } else {
+                real.copy_raw(addr, dst, len)
+            };
+            same("copy", &rx, &model.copy(addr, dst, len, checked))?;
+            same_range(real, model, dst, len)?;
         }
     }
+    same_range(real, model, addr, len)?;
+    same(
+        "materialized_pages",
+        &real.materialized_pages(),
+        &model.materialized_pages(),
+    )?;
     same("stats", &real.stats(), &model.stats)?;
     let area = AddressSpace::MAP_BASE / PAGE_SIZE - 3..model.next_map / PAGE_SIZE + 3;
     for pno in area {
@@ -291,10 +340,13 @@ fn step(
     Ok(())
 }
 
-/// Every byte of every page either side could hold, read raw.
-fn same_contents(real: &AddressSpace, model: &Model) -> Result<(), String> {
-    let area = AddressSpace::MAP_BASE / PAGE_SIZE..model.next_map / PAGE_SIZE;
-    for pno in area {
+/// Every byte of pages `[first, end)`, read raw.
+fn same_pages(
+    real: &AddressSpace,
+    model: &Model,
+    pages: std::ops::Range<u64>,
+) -> Result<(), String> {
+    for pno in pages {
         let (mut x, mut y) = ([1u8; PAGE_SIZE as usize], [1u8; PAGE_SIZE as usize]);
         let a = pno * PAGE_SIZE;
         let (rx, ry) = (real.read_raw(a, &mut x), model.read(a, &mut y, false));
@@ -305,12 +357,23 @@ fn same_contents(real: &AddressSpace, model: &Model) -> Result<(), String> {
     Ok(())
 }
 
+/// The pages an op on `[addr, addr+len)` could have changed.
+fn same_range(real: &AddressSpace, model: &Model, addr: Addr, len: u64) -> Result<(), String> {
+    same_pages(real, model, addr / PAGE_SIZE..(addr + len) / PAGE_SIZE + 1)
+}
+
+/// Every byte of every page either side could hold.
+fn same_contents(real: &AddressSpace, model: &Model) -> Result<(), String> {
+    let area = AddressSpace::MAP_BASE / PAGE_SIZE..model.next_map / PAGE_SIZE;
+    same_pages(real, model, area)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn address_space_matches_eager_model(
-        ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>(), any::<u8>()), 1..48),
+        ops in proptest::collection::vec((0u8..15, any::<u64>(), any::<u64>(), any::<u8>()), 1..48),
     ) {
         let mut real = AddressSpace::new();
         let mut model = Model::new();
@@ -347,4 +410,50 @@ fn unmap_splits_regions_and_double_unmap_is_a_no_op() {
     assert_eq!(real.mapped_bytes(), 0);
     assert_eq!(real.rss_bytes(), 0);
     same_contents(&real, &model).unwrap();
+}
+
+#[test]
+fn overlapping_copies_that_fault_partway_keep_the_memmove_prefix() {
+    let mut real = AddressSpace::new();
+    let mut model = Model::new();
+    let base = real.map(5 * PAGE_SIZE, Perm::ReadWrite);
+    model.map(5 * PAGE_SIZE, Perm::ReadWrite);
+    let stamp: Vec<u8> = (0..5 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+    real.write(base, &stamp).unwrap();
+    model.write(base, &stamp, true).unwrap();
+    for (at, perm) in [(2, Perm::Read), (4, Perm::None)] {
+        real.protect(base + at * PAGE_SIZE, PAGE_SIZE, perm)
+            .unwrap();
+        model
+            .protect(base + at * PAGE_SIZE, PAGE_SIZE, perm)
+            .unwrap();
+    }
+    let p = PAGE_SIZE;
+    // (src, dst, len): dst above src runs into the read-only page after a
+    // page and 50 bytes; dst below src runs into it after 200 bytes; a
+    // source that reaches the PROT_NONE page moves nothing.
+    for (src, dst, len, completed) in [
+        (p - 100, p - 50, p + 200, Some(p + 50)),
+        (2 * p - 150, 2 * p - 200, 300, Some(200)),
+        (4 * p - 8, 3 * p, 16, Some(8)),
+        (3 * p + 10, 3 * p, 100, None),
+    ] {
+        for checked in [true, false] {
+            let r = if checked {
+                real.copy(base + src, base + dst, len)
+            } else {
+                real.copy_raw(base + src, base + dst, len)
+            };
+            assert_eq!(
+                r,
+                model.copy(base + src, base + dst, len, checked),
+                "{src:#x}->{dst:#x}+{len} checked={checked}"
+            );
+            if checked {
+                assert_eq!(r.err().map(|f| f.fault().completed), completed);
+            }
+            same_contents(&real, &model).unwrap();
+            assert_eq!(real.stats(), model.stats);
+        }
+    }
 }

@@ -5,10 +5,11 @@ use crate::bits::{KernelMode, ShadowBits};
 use crate::heap::{BufId, BufState, HeapMap, Region};
 use crate::warning::{Warning, WarningKind};
 use ht_memsim::{
-    Addr, AddressSpace, AllocStats, BaseAllocator, FastMap, FreeListAllocator, SpaceStats,
+    Addr, AddressSpace, AllocStats, BaseAllocator, CopyFault, FastMap, FreeListAllocator,
+    SpaceStats,
 };
 use ht_patch::{AllocFn, Patch, VulnFlags};
-use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, ReadResult, Sink, StopCause};
+use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, Sink, StopCause};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// CCID-subspace partitioning (paper §IX).
@@ -409,39 +410,33 @@ impl HeapBackend for ShadowBackend {
         // check, validity and origins just flow along (paper Fig. 4).
         self.check_accessible(src, len, false);
         self.check_accessible(dst, len, true);
-        let mut buf = vec![0u8; len as usize];
-        if let Err(f) = self.space.read_raw(src, &mut buf) {
+        let r = self.space.copy_raw(src, dst, len);
+        if let Err(CopyFault::Read(f)) = r {
             self.warn(WarningKind::Wild, f.addr, false, None);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
+            return AccessOutcome::segfault(f, false);
         }
+        // The source was readable: origins flow into the bytes written,
+        // even when the destination ran into a wild page.
         self.propagate_origins(src, dst, len);
-        if let Err(f) = self.space.write_raw(dst, &buf) {
+        if let Err(CopyFault::Write(f)) = r {
             self.warn(WarningKind::Wild, f.addr, true, None);
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            });
+            return AccessOutcome::segfault(f, true);
         }
         self.bits.copy_valid(src, dst, len);
         AccessOutcome::Ok
     }
 
-    fn read(&mut self, addr: Addr, len: u64, sink: Sink) -> ReadResult {
+    fn read(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        sink: Sink,
+        out: Option<&mut Vec<u8>>,
+    ) -> AccessOutcome {
         self.check_accessible(addr, len, false);
-        let mut data = vec![0u8; len as usize];
-        if let Err(f) = self.space.read_raw(addr, &mut data) {
-            data.truncate(f.completed as usize);
+        if let Err(f) = self.space.read_append_raw(addr, len, out) {
             self.warn(WarningKind::Wild, f.addr, false, None);
-            return ReadResult {
-                data,
-                outcome: AccessOutcome::Stop(StopCause::Segfault {
-                    addr: f.addr,
-                    write: false,
-                }),
-            };
+            return AccessOutcome::segfault(f, false);
         }
         if sink.checks_vbits() {
             // Bit-precision uninitialized-read detection, restricted to live
@@ -476,10 +471,7 @@ impl HeapBackend for ShadowBackend {
                 }
             }
         }
-        ReadResult {
-            data,
-            outcome: AccessOutcome::Ok,
-        }
+        AccessOutcome::Ok
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
@@ -493,6 +485,18 @@ mod tests {
     use ht_callgraph::{FuncId, Strategy};
     use ht_encoding::{Ccid, InstrumentationPlan, Scheme};
     use ht_simprog::{Expr, Interpreter, ProgramBuilder};
+
+    /// Reads `len` bytes at `addr` into a fresh buffer.
+    fn read_vec(
+        s: &mut ShadowBackend,
+        addr: Addr,
+        len: u64,
+        sink: Sink,
+    ) -> (Vec<u8>, AccessOutcome) {
+        let mut out = Vec::new();
+        let outcome = s.read(addr, len, sink, Some(&mut out));
+        (out, outcome)
+    }
 
     fn req(fun: AllocFn, size: u64, ccid: u64) -> AllocRequest {
         AllocRequest {
@@ -510,8 +514,8 @@ mod tests {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 64, 1)).unwrap();
         assert!(s.write(p, 64, 0xAA).is_ok());
-        let r = s.read(p, 64, Sink::Branch);
-        assert!(r.outcome.is_ok());
+        let r = s.read(p, 64, Sink::Branch, None);
+        assert!(r.is_ok());
         assert!(s.free(p).is_ok());
         assert!(s.warnings().is_empty(), "{:?}", s.warnings());
     }
@@ -537,9 +541,9 @@ mod tests {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 7)).unwrap();
         s.write(p, 32, 1);
-        let r = s.read(p, 48, Sink::Leak);
-        assert!(r.outcome.is_ok(), "analyzer resumes");
-        assert_eq!(r.data.len(), 48, "data still returned (leak modeled)");
+        let (data, outcome) = read_vec(&mut s, p, 48, Sink::Leak);
+        assert!(outcome.is_ok(), "analyzer resumes");
+        assert_eq!(data.len(), 48, "data still returned (leak modeled)");
         assert_eq!(s.count(WarningKind::Overflow), 1);
         assert!(!s.warnings()[0].write);
     }
@@ -558,8 +562,8 @@ mod tests {
         let p = s.alloc(&req(AllocFn::Malloc, 64, 0x11)).unwrap();
         s.write(p, 64, 5);
         s.free(p);
-        let r = s.read(p, 8, Sink::Addr);
-        assert!(r.outcome.is_ok());
+        let r = s.read(p, 8, Sink::Addr, None);
+        assert!(r.is_ok());
         assert_eq!(s.count(WarningKind::UseAfterFree), 1);
         s.write(p, 8, 9);
         assert_eq!(
@@ -608,11 +612,11 @@ mod tests {
         let p = s.alloc(&req(AllocFn::Malloc, 32, 0x77)).unwrap();
         // Discard sink: copying uninitialized data is fine (paper Fig. 4 —
         // padding copies must not warn).
-        let r = s.read(p, 32, Sink::Discard);
-        assert!(r.outcome.is_ok());
+        let r = s.read(p, 32, Sink::Discard, None);
+        assert!(r.is_ok());
         assert_eq!(s.count(WarningKind::UninitRead), 0);
         // Branch sink: warning, attributed to the buffer.
-        s.read(p, 32, Sink::Branch);
+        s.read(p, 32, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         assert_eq!(s.warnings()[0].ccid, Some(Ccid(0x77)));
     }
@@ -621,8 +625,8 @@ mod tests {
     fn vbits_revalidated_after_check() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 1)).unwrap();
-        s.read(p, 32, Sink::Branch);
-        s.read(p, 32, Sink::Branch);
+        s.read(p, 32, Sink::Branch, None);
+        s.read(p, 32, Sink::Branch, None);
         assert_eq!(
             s.count(WarningKind::UninitRead),
             1,
@@ -634,9 +638,9 @@ mod tests {
     fn calloc_memory_is_valid() {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Calloc, 32, 1)).unwrap();
-        let r = s.read(p, 32, Sink::Syscall);
-        assert!(r.outcome.is_ok());
-        assert_eq!(r.data, vec![0u8; 32]);
+        let (data, outcome) = read_vec(&mut s, p, 32, Sink::Syscall);
+        assert!(outcome.is_ok());
+        assert_eq!(data, vec![0u8; 32]);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
     }
 
@@ -645,9 +649,9 @@ mod tests {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 32, 1)).unwrap();
         s.write(p, 16, 0xAB); // initialize first half
-        s.read(p, 16, Sink::Branch);
+        s.read(p, 16, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
-        s.read(p, 32, Sink::Branch);
+        s.read(p, 32, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         assert_eq!(s.warnings()[0].addr, p + 16, "first uninit byte");
     }
@@ -662,10 +666,10 @@ mod tests {
         let q = s.alloc(&r).unwrap();
         assert_ne!(p, q);
         // Copied prefix valid, grown region invalid.
-        let rd = s.read(q, 16, Sink::Branch);
-        assert_eq!(rd.data, vec![0x33; 16]);
+        let (data, _) = read_vec(&mut s, q, 16, Sink::Branch);
+        assert_eq!(data, vec![0x33; 16]);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
-        s.read(q, 64, Sink::Branch);
+        s.read(q, 64, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         // Old block quarantined: UAF on it is detected.
         s.write(p, 4, 1);
@@ -713,8 +717,8 @@ mod tests {
         let mut s = ShadowBackend::new();
         let p = s.alloc(&req(AllocFn::Malloc, 64, 0x4842)).unwrap();
         s.write(p, 16, 0x55); // only partially initialized
-        let r = s.read(p, 96, Sink::Leak); // past the end
-        assert!(r.outcome.is_ok());
+        let r = s.read(p, 96, Sink::Leak, None); // past the end
+        assert!(r.is_ok());
         assert_eq!(s.count(WarningKind::Overflow), 1);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         let patches = s.generate_patches("heartbleed-model");
@@ -747,10 +751,10 @@ mod tests {
         assert!(s.copy(src, dst, 32).is_ok());
         assert!(s.warnings().is_empty(), "{:?}", s.warnings());
         // Valid half stays valid at the destination...
-        s.read(dst, 16, Sink::Branch);
+        s.read(dst, 16, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
         // ...and the copied-invalid half still trips on use.
-        s.read(dst + 16, 16, Sink::Branch);
+        s.read(dst + 16, 16, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 1);
     }
 
@@ -762,8 +766,8 @@ mod tests {
         let a = s.alloc(&req(AllocFn::Malloc, 64, 0xA11)).unwrap();
         let b = s.alloc(&req(AllocFn::Calloc, 64, 0xB22)).unwrap();
         assert!(s.copy(a, b, 64).is_ok());
-        let r = s.read(b, 64, Sink::Leak);
-        assert!(r.outcome.is_ok());
+        let r = s.read(b, 64, Sink::Leak, None);
+        assert!(r.is_ok());
         assert_eq!(s.count(WarningKind::UninitRead), 1);
         let w = &s.warnings()[0];
         assert_eq!(w.ccid, Some(Ccid(0xA11)), "blames the origin, not B");
@@ -781,7 +785,7 @@ mod tests {
         let c = s.alloc(&req(AllocFn::Calloc, 16, 0xC)).unwrap();
         s.copy(a, b, 16);
         s.copy(b, c, 16);
-        s.read(c, 16, Sink::Syscall);
+        s.read(c, 16, Sink::Syscall, None);
         assert_eq!(s.warnings()[0].ccid, Some(Ccid(0xA)), "two-hop origin");
     }
 
@@ -792,7 +796,7 @@ mod tests {
         let b = s.alloc(&req(AllocFn::Calloc, 16, 0xB)).unwrap();
         s.copy(a, b, 16);
         s.write(b, 16, 0x33); // program initializes B properly after all
-        s.read(b, 16, Sink::Branch);
+        s.read(b, 16, Sink::Branch, None);
         assert_eq!(s.count(WarningKind::UninitRead), 0);
     }
 
@@ -850,7 +854,7 @@ mod tests {
             });
             let p = s.alloc(&req(AllocFn::Malloc, 64, 7)).unwrap();
             s.free(p);
-            s.read(p, 8, Sink::Addr);
+            s.read(p, 8, Sink::Addr, None);
             s.generate_patches("uaf")
         };
         let full = run(None);

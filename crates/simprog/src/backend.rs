@@ -2,7 +2,10 @@
 
 use ht_callgraph::FuncId;
 use ht_encoding::Ccid;
-use ht_memsim::{Addr, AddressSpace, AllocStats, BaseAllocator, FreeListAllocator, SpaceStats};
+use ht_memsim::{
+    Addr, AddressSpace, AllocStats, BaseAllocator, CopyFault, FreeListAllocator, MemFault,
+    SpaceStats,
+};
 use ht_patch::AllocFn;
 use std::fmt;
 
@@ -72,15 +75,24 @@ impl AccessOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, AccessOutcome::Ok)
     }
-}
 
-/// Result of a read: bytes obtained so far plus the outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadResult {
-    /// Bytes read before any fault.
-    pub data: Vec<u8>,
-    /// Whether the read completed.
-    pub outcome: AccessOutcome,
+    /// The SIGSEGV a memory fault delivers to the program.
+    pub fn segfault(f: MemFault, write: bool) -> Self {
+        AccessOutcome::Stop(StopCause::Segfault {
+            addr: f.addr,
+            write,
+        })
+    }
+
+    /// The outcome of an [`AddressSpace`] copy: a source fault is a read
+    /// segfault, a destination fault a write segfault.
+    pub fn from_copy(r: Result<(), CopyFault>) -> Self {
+        match r {
+            Ok(()) => AccessOutcome::Ok,
+            Err(CopyFault::Read(f)) => Self::segfault(f, false),
+            Err(CopyFault::Write(f)) => Self::segfault(f, true),
+        }
+    }
 }
 
 /// The heap boundary between the interpreter and a memory system.
@@ -108,12 +120,24 @@ pub trait HeapBackend {
     /// Writes `len` copies of `byte` starting at `addr`.
     fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome;
 
-    /// Reads `len` bytes starting at `addr` (`sink` is the value's use).
-    fn read(&mut self, addr: Addr, len: u64, sink: crate::Sink) -> ReadResult;
+    /// Reads `len` bytes starting at `addr` (`sink` is the value's use),
+    /// appending them to `out` when the sink keeps them (a leak) and
+    /// moving no byte otherwise. A read that faults appends the bytes
+    /// before the faulting one and stops with a read segfault.
+    fn read(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        sink: crate::Sink,
+        out: Option<&mut Vec<u8>>,
+    ) -> AccessOutcome;
 
     /// Copies `len` bytes from `src` to `dst` (a `memcpy` — the value is
     /// moved, not *used*, so analyzers must not treat this as a checked
-    /// read).
+    /// read). It behaves as reading the whole source and then writing it:
+    /// a source fault writes nothing and stops as a read segfault; a
+    /// destination fault keeps the bytes before it (`memmove` on overlap)
+    /// and stops as a write segfault.
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome;
 
     /// Memory-system statistics, if this backend tracks them.
@@ -195,48 +219,25 @@ impl<A: BaseAllocator> HeapBackend for PlainBackend<A> {
     fn write(&mut self, addr: Addr, len: u64, byte: u8) -> AccessOutcome {
         match self.space.fill(addr, len, byte) {
             Ok(()) => AccessOutcome::Ok,
-            Err(f) => AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            }),
+            Err(f) => AccessOutcome::segfault(f, true),
         }
     }
 
-    fn read(&mut self, addr: Addr, len: u64, _sink: crate::Sink) -> ReadResult {
-        let mut data = vec![0u8; len as usize];
-        match self.space.read(addr, &mut data) {
-            Ok(()) => ReadResult {
-                data,
-                outcome: AccessOutcome::Ok,
-            },
-            Err(f) => {
-                data.truncate(f.completed as usize);
-                ReadResult {
-                    data,
-                    outcome: AccessOutcome::Stop(StopCause::Segfault {
-                        addr: f.addr,
-                        write: false,
-                    }),
-                }
-            }
+    fn read(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        _sink: crate::Sink,
+        out: Option<&mut Vec<u8>>,
+    ) -> AccessOutcome {
+        match self.space.read_append(addr, len, out) {
+            Ok(()) => AccessOutcome::Ok,
+            Err(f) => AccessOutcome::segfault(f, false),
         }
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) -> AccessOutcome {
-        let mut buf = vec![0u8; len as usize];
-        if let Err(f) = self.space.read(src, &mut buf) {
-            return AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: false,
-            });
-        }
-        match self.space.write(dst, &buf) {
-            Ok(()) => AccessOutcome::Ok,
-            Err(f) => AccessOutcome::Stop(StopCause::Segfault {
-                addr: f.addr,
-                write: true,
-            }),
-        }
+        AccessOutcome::from_copy(self.space.copy(src, dst, len))
     }
 
     fn mem_stats(&self) -> Option<(SpaceStats, AllocStats)> {
@@ -249,6 +250,13 @@ mod tests {
     use super::*;
     use crate::Sink;
     use ht_encoding::Ccid;
+
+    /// Reads `len` bytes at `addr` into a fresh buffer.
+    fn read_vec(b: &mut impl HeapBackend, addr: Addr, len: u64) -> (Vec<u8>, AccessOutcome) {
+        let mut out = Vec::new();
+        let outcome = b.read(addr, len, Sink::Leak, Some(&mut out));
+        (out, outcome)
+    }
 
     fn req(fun: AllocFn, size: u64) -> AllocRequest {
         AllocRequest {
@@ -266,9 +274,10 @@ mod tests {
         let mut b = PlainBackend::new();
         let p = b.alloc(&req(AllocFn::Malloc, 32)).unwrap();
         assert!(b.write(p, 32, 0x7F).is_ok());
-        let r = b.read(p, 32, Sink::Discard);
-        assert!(r.outcome.is_ok());
-        assert_eq!(r.data, vec![0x7F; 32]);
+        let (data, outcome) = read_vec(&mut b, p, 32);
+        assert!(outcome.is_ok());
+        assert_eq!(data, vec![0x7F; 32]);
+        assert!(b.read(p, 32, Sink::Discard, None).is_ok());
         assert!(b.free(p).is_ok());
     }
 
@@ -281,8 +290,7 @@ mod tests {
         b.free(p);
         let q = b.alloc(&req(AllocFn::Calloc, 64)).unwrap();
         assert_eq!(q, p, "LIFO reuse");
-        let r = b.read(q, 64, Sink::Discard);
-        assert_eq!(r.data, vec![0u8; 64]);
+        assert_eq!(read_vec(&mut b, q, 64).0, vec![0u8; 64]);
     }
 
     #[test]
@@ -294,8 +302,11 @@ mod tests {
         b.write(p, 64, 0xEE);
         b.free(p);
         let q = b.alloc(&req(AllocFn::Malloc, 64)).unwrap();
-        let r = b.read(q, 64, Sink::Leak);
-        assert_eq!(r.data, vec![0xEE; 64], "stale data leaks");
+        assert_eq!(
+            read_vec(&mut b, q, 64).0,
+            vec![0xEE; 64],
+            "stale data leaks"
+        );
     }
 
     #[test]
@@ -306,8 +317,7 @@ mod tests {
         let mut r = req(AllocFn::Realloc, 256);
         r.old_ptr = Some(p);
         let q = b.alloc(&r).unwrap();
-        let got = b.read(q, 16, Sink::Discard);
-        assert_eq!(got.data, vec![0x11; 16]);
+        assert_eq!(read_vec(&mut b, q, 16).0, vec![0x11; 16]);
     }
 
     #[test]
@@ -330,9 +340,9 @@ mod tests {
             AccessOutcome::Stop(StopCause::Segfault { write: true, .. }) => {}
             other => panic!("expected segfault, got {other:?}"),
         }
-        let r = b.read(0x10, 4, Sink::Discard);
-        assert!(!r.outcome.is_ok());
-        assert!(r.data.is_empty());
+        let (data, outcome) = read_vec(&mut b, 0x10, 4);
+        assert!(!outcome.is_ok());
+        assert!(data.is_empty());
     }
 
     #[test]

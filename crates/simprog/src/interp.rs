@@ -376,11 +376,8 @@ impl<'a, B: HeapBackend> Interpreter<'a, B> {
                     let len = len.eval(st.input);
                     if len > 0 {
                         st.report.bytes_read += len;
-                        let r = self.backend.read(ptr + off, len, *sink);
-                        if *sink == Sink::Leak {
-                            st.report.leaked.extend_from_slice(&r.data);
-                        }
-                        match r.outcome {
+                        let out = (*sink == Sink::Leak).then_some(&mut st.report.leaked);
+                        match self.backend.read(ptr + off, len, *sink, out) {
                             AccessOutcome::Ok => {}
                             AccessOutcome::Stop(c) => return Err(c),
                         }

@@ -79,32 +79,36 @@ impl VulnApp {
     }
 }
 
-/// Horspool substring search. A blocked Heartbleed leak is ~36 KiB, nearly
-/// all zeros, and every marker is a run of one byte, so a window whose last
-/// byte is not in the needle skips a whole needle length: about
-/// `haystack.len() / needle.len()` probes per miss (worst case, a haystack
-/// of near-matches, stays `O(haystack.len() * needle.len())` like the naive
-/// scan).
+/// Substring search built for leak streams. A blocked Heartbleed leak is
+/// ~36 KiB, nearly all zeros, and every marker is a run of a byte that
+/// rarely occurs, so the scan looks at 64-byte blocks of possible start
+/// positions: an OR-reduction over a block (which the compiler vectorizes)
+/// says whether the needle's first byte occurs in it, and only a block that
+/// hits compares the needle at its candidate positions. The worst case, a
+/// haystack of near-matches, stays `O(haystack.len() * needle.len())` like
+/// the naive scan.
 pub(crate) fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
-    let m = needle.len();
-    if m == 0 || m > haystack.len() {
+    const BLOCK: usize = 64;
+    let Some(&first) = needle.first() else {
+        return false;
+    };
+    if needle.len() > haystack.len() {
         return false;
     }
-    // Shift for a window ending in byte `b`: distance from b's last
-    // occurrence in `needle[..m - 1]` to the end, or `m` if absent.
-    let mut shift = [m; 256];
-    for (i, &b) in needle[..m - 1].iter().enumerate() {
-        shift[b as usize] = m - 1 - i;
-    }
-    let mut pos = 0;
-    while pos + m <= haystack.len() {
-        let last = haystack[pos + m - 1];
-        if last == needle[m - 1] && &haystack[pos..pos + m] == needle {
-            return true;
-        }
-        pos += shift[last as usize];
-    }
-    false
+    // Every position a match can start at.
+    let starts = &haystack[..=haystack.len() - needle.len()];
+    let matches_in = |block: &[u8], base: usize| {
+        block.iter().fold(false, |hit, &b| hit | (b == first))
+            && (0..block.len())
+                .any(|i| block[i] == first && haystack[base + i..].starts_with(needle))
+    };
+    let blocks = starts.chunks_exact(BLOCK);
+    let tail = blocks.remainder();
+    let tail_base = starts.len() - tail.len();
+    blocks
+        .enumerate()
+        .any(|(k, block)| matches_in(block, k * BLOCK))
+        || matches_in(tail, tail_base)
 }
 
 /// Every Table II model: the seven CVE programs plus the 23 SAMATE cases.
@@ -158,6 +162,64 @@ mod tests {
         );
     }
 
+    #[test]
+    fn subslice_search_across_blocks() {
+        let marker = [SECRET_BYTE; 16];
+        let check = |hay: &[u8], needle: &[u8]| {
+            assert_eq!(
+                contains_subslice(hay, needle),
+                naive_contains(hay, needle),
+                "len {} needle {needle:?}",
+                hay.len()
+            );
+            contains_subslice(hay, needle)
+        };
+        // A needle straddling the boundary between the first two blocks,
+        // and a first-byte hit in block 0 whose match fails in block 1.
+        let mut hay = vec![0u8; 200];
+        hay[56..72].fill(SECRET_BYTE);
+        assert!(check(&hay, &marker));
+        hay[71] = 0;
+        assert!(!check(&hay, &marker));
+        // A match at the last possible start position, which is the only
+        // start in its (partial) block.
+        for len in [16, 79, 80, 81, 128, 143, 144, 200] {
+            let mut hay = vec![0u8; len];
+            hay[len - 16..].fill(SECRET_BYTE);
+            assert!(check(&hay, &marker), "len {len}");
+            hay[len - 1] = 0;
+            assert!(!check(&hay, &marker), "len {len}");
+        }
+        // The first byte occurs only in the final partial block: as a
+        // start that matches, and as bytes too close to the end to start
+        // a match.
+        let mut hay = vec![0u8; 64 * 3 + 20];
+        hay[64 * 3 + 2] = ATTACK_BYTE;
+        hay[64 * 3 + 3] = SPRAY_BYTE;
+        assert!(check(&hay, &[ATTACK_BYTE, SPRAY_BYTE]));
+        assert!(!check(&hay, &[ATTACK_BYTE, SPRAY_BYTE, 1]));
+        hay[64 * 3 + 15..].fill(SECRET_BYTE);
+        assert!(!check(&hay, &marker), "a 5-byte run at the end");
+        // A blocked Heartbleed leak: 36 KiB of zeros with one planted
+        // marker, at every offset mod the block size.
+        let mut leak = vec![0u8; 36 * 1024];
+        assert!(!check(&leak, &marker));
+        for at in [
+            0,
+            1,
+            48,
+            63,
+            64,
+            20_000 + 50,
+            leak.len() - 17,
+            leak.len() - 16,
+        ] {
+            leak[at..at + 16].fill(SECRET_BYTE);
+            assert!(check(&leak, &marker), "planted at {at}");
+            leak[at..at + 16].fill(0);
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -167,7 +229,7 @@ mod tests {
 
             /// Small alphabets make partial matches and repeated bytes common.
             #[test]
-            fn horspool_agrees_with_naive_search(
+            fn search_agrees_with_naive_search(
                 haystack in proptest::collection::vec(0u8..3, 0..96),
                 needle in proptest::collection::vec(0u8..3, 0..8),
                 splice in any::<u64>(),
@@ -188,8 +250,29 @@ mod tests {
                 }
             }
 
+            /// Mostly-zero haystacks a few blocks long, with a handful of
+            /// planted bytes: the first byte hits few blocks, and matches
+            /// straddle block boundaries.
             #[test]
-            fn horspool_agrees_on_arbitrary_bytes(
+            fn search_agrees_on_sparse_multi_block_haystacks(
+                len in 0usize..400,
+                marks in proptest::collection::vec((any::<u16>(), 1u8..3, 1usize..20), 0..6),
+                needle in proptest::collection::vec(0u8..3, 1..20),
+            ) {
+                let mut haystack = vec![0u8; len];
+                for &(at, byte, run) in &marks {
+                    let at = at as usize % len.max(1);
+                    let end = (at + run).min(len);
+                    haystack[at..end].fill(byte);
+                }
+                prop_assert_eq!(
+                    contains_subslice(&haystack, &needle),
+                    naive_contains(&haystack, &needle)
+                );
+            }
+
+            #[test]
+            fn search_agrees_on_arbitrary_bytes(
                 haystack in proptest::collection::vec(any::<u8>(), 0..256),
                 needle in proptest::collection::vec(any::<u8>(), 0..4),
             ) {
