@@ -135,9 +135,10 @@ pub struct AppTelemetry {
     pub app: String,
     /// CVE / dataset reference.
     pub reference: String,
-    /// One report per distinct `(FUN, CCID, T)` across all inputs, in
-    /// first-activation order, call chains decoded when the encoding scheme
-    /// permits (allocation site first).
+    /// One report per distinct `(FUN, CCID, T)` across all inputs, in the
+    /// order the inputs first filed them (slot order within one run), call
+    /// chains decoded when the encoding scheme permits (allocation site
+    /// first).
     pub reports: Vec<AttackReport>,
     /// Per-patch hit/byte counters summed across inputs.
     pub per_patch: Vec<PatchCounterRow>,
@@ -294,7 +295,7 @@ impl HeapTherapy {
         let mut interp =
             Interpreter::new(ip.program, &ip.plan, backend).with_limits(self.cfg.limits);
         let report = interp.run(input);
-        let mut backend = interp.into_backend();
+        let backend = interp.into_backend();
         ProtectedRun {
             report,
             stats: backend.stats(),
@@ -422,7 +423,7 @@ impl HeapTherapy {
     /// counters, and phase wall-clock.
     ///
     /// Each replay is an independent process image (fresh backend, fresh
-    /// once-bits), so reports are deduplicated across runs: the result holds
+    /// once-words), so reports are deduplicated across runs: the result holds
     /// exactly one report per distinct `(FUN, CCID, T)` that activated.
     ///
     /// # Errors

@@ -8,10 +8,7 @@ use ht_memsim::{
 };
 use ht_patch::{AllocFn, PatchTable, VulnFlags};
 use ht_simprog::{AccessOutcome, AllocRequest, HeapBackend, Sink, StopCause};
-use ht_telemetry::{
-    AttackReport, Event, EventKind, EventRing, PatchCounterRow, TelemetryConfig, TelemetrySnapshot,
-    NO_SLOT,
-};
+use ht_telemetry::{Event, EventKind, Recorder, TelemetryConfig, TelemetrySnapshot, NO_SLOT};
 use std::collections::HashMap;
 
 /// Online-defense configuration.
@@ -31,7 +28,9 @@ pub struct DefenseConfig {
     pub guard_all: bool,
     /// Attack telemetry (paper Section VII's diagnosis report). Disabled by
     /// default: a disabled backend allocates no telemetry state and the hot
-    /// path pays nothing beyond one `Option` check on defended branches.
+    /// path pays nothing beyond one `Option` check on defended branches. An
+    /// armed backend requires a table of at most
+    /// [`PatchTable::CAPACITY`] patches.
     pub telemetry: TelemetryConfig,
 }
 
@@ -87,68 +86,6 @@ pub struct DefenseStats {
     pub blocked_accesses: u64,
 }
 
-/// Telemetry state of a defended backend. Allocated only when the
-/// configuration enables telemetry, so the disabled mode carries no state.
-///
-/// The sim reuses the allocator's lock-free [`EventRing`] (identical
-/// overflow-and-drop semantics) even though the interpreter is
-/// single-threaded; counters and once-bits are plain vectors keyed by
-/// [`PatchTable::slot_index`] — the dense position of a patch in the sorted
-/// entry list.
-#[derive(Debug)]
-struct Telemetry {
-    ring: Box<EventRing>,
-    /// `(hits, bytes)` per patch-table slot.
-    per_patch: Vec<(u64, u64)>,
-    /// Once-bit mask per slot: which `T` bits already filed a report.
-    reported: Vec<u8>,
-    /// Attack reports in first-activation order.
-    reports: Vec<AttackReport>,
-    /// Live patched user pointers → slot (free-path attribution).
-    live: HashMap<Addr, u32>,
-    /// Quarantined inner pointers → slot (eviction attribution).
-    deferred: HashMap<Addr, u32>,
-}
-
-impl Telemetry {
-    fn new(patches: usize) -> Self {
-        Self {
-            ring: Box::new(EventRing::new()),
-            per_patch: vec![(0, 0); patches],
-            reported: vec![0; patches],
-            reports: Vec::new(),
-            live: HashMap::new(),
-            deferred: HashMap::new(),
-        }
-    }
-
-    /// Files the one-time attack report for `(slot, t)` if this is the
-    /// first activation; later activations of the same pair are silent.
-    fn report_once(&mut self, slot: u32, t: VulnFlags, fun: AllocFn, ccid: u64, size: u64) {
-        let s = slot as usize;
-        if self.reported[s] & t.bits() != 0 {
-            return;
-        }
-        self.reported[s] |= t.bits();
-        self.ring.push(Event::patched(
-            EventKind::AttackReported,
-            fun,
-            t,
-            slot,
-            ccid,
-            size,
-        ));
-        self.reports.push(AttackReport {
-            fun,
-            ccid,
-            vuln: t,
-            slot,
-            size,
-            call_chain: Vec::new(),
-        });
-    }
-}
-
 /// The online defense generator over an arbitrary inner allocator.
 ///
 /// All heap traffic flows through this backend; buffers whose
@@ -161,7 +98,12 @@ pub struct DefendedBackend<A: BaseAllocator = FreeListAllocator> {
     cfg: DefenseConfig,
     quarantine: Quarantine,
     stats: DefenseStats,
-    telemetry: Option<Telemetry>,
+    /// `None` when the configuration disables telemetry.
+    telemetry: Option<Box<Recorder>>,
+    /// Patch-table slot of each live or quarantined UAF-patched buffer, by
+    /// inner-allocator pointer: attributes its defer and evict events
+    /// (telemetry only).
+    uaf_slots: HashMap<Addr, u32>,
 }
 
 impl DefendedBackend<FreeListAllocator> {
@@ -182,24 +124,29 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` disables metadata but carries patches.
+    /// Panics if `cfg` disables metadata but carries patches, or arms
+    /// telemetry over a table larger than [`PatchTable::CAPACITY`].
     pub fn with_allocator(inner: A, cfg: DefenseConfig) -> Self {
         assert!(
             cfg.maintain_metadata || (cfg.table.is_empty() && !cfg.guard_all),
             "defenses require metadata maintenance"
         );
-        let quota = cfg.quarantine_quota;
-        let telemetry = cfg
-            .telemetry
-            .is_enabled()
-            .then(|| Telemetry::new(cfg.table.len()));
+        let telemetry = cfg.telemetry.is_enabled().then(|| {
+            assert!(
+                cfg.table.len() <= PatchTable::CAPACITY,
+                "telemetry keys at most {} patches",
+                PatchTable::CAPACITY
+            );
+            Box::new(Recorder::new())
+        });
         Self {
             space: AddressSpace::new(),
             inner,
+            quarantine: Quarantine::new(cfg.quarantine_quota),
             cfg,
-            quarantine: Quarantine::new(quota),
             stats: DefenseStats::default(),
             telemetry,
+            uaf_slots: HashMap::new(),
         }
     }
 
@@ -222,110 +169,47 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         StopCause::HeapMisuse(e.to_string())
     }
 
-    /// The vulnerability bits for an allocation about to happen.
-    fn probe(&mut self, fun: AllocFn, ccid: u64) -> VulnFlags {
+    /// The patch-table slot ([`NO_SLOT`] on a miss) and the vulnerability
+    /// bits for an allocation about to happen.
+    fn probe(&mut self, fun: AllocFn, ccid: u64) -> (u32, VulnFlags) {
         self.stats.table_lookups += 1;
-        let mut vuln = self.cfg.table.lookup(fun, ccid).unwrap_or(VulnFlags::NONE);
+        let (slot, mut vuln) = self
+            .cfg
+            .table
+            .lookup_slot(fun, ccid)
+            .map_or((NO_SLOT, VulnFlags::NONE), |(s, v)| (s as u32, v));
         if !vuln.is_empty() {
             self.stats.table_hits += 1;
         }
         if self.cfg.guard_all {
             vuln |= VulnFlags::OVERFLOW;
         }
-        vuln
+        (slot, vuln)
     }
 
-    /// The `(FUN, CCID)` identity of patch-table slot `slot`, or a
-    /// placeholder for unattributed events (`guard_all` injections).
-    fn patch_identity(table: &PatchTable, slot: u32) -> (AllocFn, u64) {
-        if slot == NO_SLOT {
-            return (AllocFn::Malloc, 0);
-        }
-        table
-            .entry(slot as usize)
-            .map_or((AllocFn::Malloc, 0), |(f, c, _)| (f, c))
-    }
-
-    /// Records telemetry for one successful defended allocation.
-    fn note_alloc(&mut self, fun: AllocFn, ccid: u64, size: u64, vuln: VulnFlags, user: Addr) {
-        let Some(tel) = &mut self.telemetry else {
+    /// Records telemetry for one successful defended allocation of the raw
+    /// block `pi`.
+    fn note_alloc(&mut self, req: &AllocRequest, slot: u32, vuln: VulnFlags, pi: Addr) {
+        let Some(rec) = self.telemetry.as_ref().filter(|_| !vuln.is_empty()) else {
             return;
         };
-        if vuln.is_empty() {
-            return;
-        }
-        let slot = self
-            .cfg
-            .table
-            .slot_index(fun, ccid)
-            .map_or(NO_SLOT, |s| s as u32);
-        if slot != NO_SLOT {
-            let c = &mut tel.per_patch[slot as usize];
-            c.0 += 1;
-            c.1 += size;
-            tel.ring.push(Event::patched(
-                EventKind::PatchHit,
-                fun,
-                vuln,
-                slot,
-                ccid,
-                size,
-            ));
-            // Live-pointer attribution for the free path.
-            tel.live.insert(user, slot);
-        }
-        for (t, kind) in [
-            (VulnFlags::OVERFLOW, EventKind::GuardInstall),
-            (VulnFlags::UNINIT_READ, EventKind::ZeroInit),
-        ] {
-            if vuln.contains(t) {
-                tel.ring
-                    .push(Event::patched(kind, fun, t, slot, ccid, size));
-                // Alloc-time defenses count as activations: first one per
-                // `(FUN, CCID, T)` files the attack report.
-                if slot != NO_SLOT {
-                    tel.report_once(slot, t, fun, ccid, size);
-                }
-            }
+        rec.alloc(req.fun, req.ccid.0, vuln, slot, req.size);
+        if vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.uaf_slots.insert(pi, slot);
         }
     }
 
-    /// Records a deferred free (quarantine entry) of a UAF-patched block.
-    fn note_defer(&mut self, user: Addr, pi: Addr, size: u64) {
-        let Some(tel) = &mut self.telemetry else {
+    /// Records a quarantine defer or evict of the UAF block `pi`.
+    fn note_quarantine(&mut self, kind: EventKind, pi: Addr, size: u64) {
+        let Some(rec) = &self.telemetry else {
             return;
         };
-        let slot = tel.live.remove(&user).unwrap_or(NO_SLOT);
-        tel.deferred.insert(pi, slot);
-        let (fun, ccid) = Self::patch_identity(&self.cfg.table, slot);
-        tel.ring.push(Event::patched(
-            EventKind::QuarantineDefer,
-            fun,
-            VulnFlags::USE_AFTER_FREE,
-            slot,
-            ccid,
-            size,
-        ));
-        if slot != NO_SLOT {
-            tel.report_once(slot, VulnFlags::USE_AFTER_FREE, fun, ccid, size);
-        }
-    }
-
-    /// Records a quota eviction out of the quarantine.
-    fn note_evict(&mut self, b: &QuarantinedBlock) {
-        let Some(tel) = &mut self.telemetry else {
-            return;
+        let slot = if kind == EventKind::QuarantineEvict {
+            self.uaf_slots.remove(&pi)
+        } else {
+            self.uaf_slots.get(&pi).copied()
         };
-        let slot = tel.deferred.remove(&b.inner_ptr).unwrap_or(NO_SLOT);
-        let (fun, ccid) = Self::patch_identity(&self.cfg.table, slot);
-        tel.ring.push(Event::patched(
-            EventKind::QuarantineEvict,
-            fun,
-            VulnFlags::USE_AFTER_FREE,
-            slot,
-            ccid,
-            b.size,
-        ));
+        rec.quarantine(&self.cfg.table, kind, slot.unwrap_or(NO_SLOT), size);
     }
 
     /// Counts an access stopped at a guard page and records its trip. The
@@ -335,8 +219,8 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     /// length).
     fn note_blocked(&mut self, len: u64) {
         self.stats.blocked_accesses += 1;
-        if let Some(tel) = &mut self.telemetry {
-            tel.ring.push(Event::unattributed(
+        if let Some(rec) = &self.telemetry {
+            rec.push(Event::unattributed(
                 EventKind::GuardTrip,
                 AllocFn::Malloc,
                 len,
@@ -347,44 +231,20 @@ impl<A: BaseAllocator> DefendedBackend<A> {
     /// Drains and returns everything telemetry observed so far, or `None`
     /// when the configuration disabled telemetry. Ring events drain
     /// destructively; per-patch counters and reports are cumulative.
-    pub fn telemetry_snapshot(&mut self) -> Option<TelemetrySnapshot> {
-        let tel = self.telemetry.as_mut()?;
-        let events = tel.ring.drain_vec();
-        let table = &self.cfg.table;
-        let per_patch = tel
-            .per_patch
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(hits, _))| hits > 0)
-            .map(|(s, &(hits, bytes))| {
-                let (fun, ccid, vuln) = table.entry(s).expect("counter slot within table");
-                PatchCounterRow {
-                    slot: s,
-                    fun,
-                    ccid,
-                    vuln,
-                    hits,
-                    bytes,
-                }
-            })
-            .collect();
-        Some(TelemetrySnapshot {
-            events,
-            delivered: tel.ring.delivered(),
-            dropped: tel.ring.dropped(),
-            per_patch,
-            reports: tel.reports.clone(),
-        })
+    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        let rec = self.telemetry.as_ref()?;
+        Some(rec.snapshot(&self.cfg.table))
     }
 
-    /// Allocates one defended buffer (Structures 1–4).
+    /// Allocates one defended buffer (Structures 1–4). Returns the user
+    /// pointer and the inner-allocator pointer.
     fn defended_alloc(
         &mut self,
         fun: AllocFn,
         size: u64,
         align: u64,
         vuln: VulnFlags,
-    ) -> Result<Addr, StopCause> {
+    ) -> Result<(Addr, Addr), StopCause> {
         let structure = BufferStructure::select(fun, vuln);
         let layout = Layout::plan(structure, size, align);
         let raw = if structure.is_aligned() {
@@ -427,21 +287,12 @@ impl<A: BaseAllocator> DefendedBackend<A> {
             self.space.fill(user, size, 0).map_err(Self::misuse)?;
             self.stats.zero_fill_bytes += size;
         }
-        Ok(user)
-    }
-
-    /// Reads the metadata of a previously defended buffer.
-    fn read_meta(&self, user: Addr) -> Result<MetaWord, StopCause> {
-        self.space
-            .read_u64_raw(user - META_SIZE)
-            .map(MetaWord)
-            .map_err(Self::misuse)
+        Ok((user, raw))
     }
 
     /// The user size of a defended buffer.
-    fn user_size(&self, user: Addr, meta: MetaWord) -> Result<u64, StopCause> {
+    fn user_size(&self, meta: MetaWord) -> Result<u64, StopCause> {
         if meta.has_guard() {
-            let _ = user;
             self.space
                 .read_u64_raw(meta.guard_page())
                 .map_err(Self::misuse)
@@ -450,10 +301,24 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         }
     }
 
-    /// The free-path of paper Fig. 7.
-    fn defended_free(&mut self, user: Addr) -> Result<(), StopCause> {
-        let meta = self.read_meta(user)?;
-        let size = self.user_size(user, meta)?;
+    /// Reads the metadata of a defended buffer about to be freed or
+    /// reallocated; a quarantined one is heap misuse.
+    fn live_meta(&self, user: Addr) -> Result<MetaWord, StopCause> {
+        let meta = MetaWord(
+            self.space
+                .read_u64_raw(user - META_SIZE)
+                .map_err(Self::misuse)?,
+        );
+        if meta.is_quarantined() {
+            return Err(Self::misuse(format_args!("free of {meta} at {user:#x}")));
+        }
+        Ok(meta)
+    }
+
+    /// The free-path of paper Fig. 7, for a buffer whose metadata
+    /// [`Self::live_meta`] returned.
+    fn defended_free(&mut self, user: Addr, meta: MetaWord) -> Result<(), StopCause> {
+        let size = self.user_size(meta)?;
         if meta.has_guard() {
             // (1) make the guard page accessible again so the block can be
             // recycled.
@@ -463,27 +328,26 @@ impl<A: BaseAllocator> DefendedBackend<A> {
         }
         // (2) recover the inner pointer.
         let pi = Layout::inner_ptr(meta.is_aligned(), meta.alignment(), user);
-        // (3) defer or release.
-        if meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
-            self.stats.quarantined_blocks += 1;
-            self.note_defer(user, pi, size);
-            let evicted = self.quarantine.push(QuarantinedBlock {
-                inner_ptr: pi,
-                size,
-            });
-            for b in evicted {
-                self.note_evict(&b);
-                self.inner
-                    .free(&mut self.space, b.inner_ptr)
-                    .map_err(Self::misuse)?;
-            }
-            Ok(())
-        } else {
-            if let Some(tel) = &mut self.telemetry {
-                tel.live.remove(&user);
-            }
-            self.inner.free(&mut self.space, pi).map_err(Self::misuse)
+        // (3) defer (marking the block quarantined) or release.
+        if !meta.vuln().contains(VulnFlags::USE_AFTER_FREE) {
+            return self.inner.free(&mut self.space, pi).map_err(Self::misuse);
         }
+        self.stats.quarantined_blocks += 1;
+        self.space
+            .write_u64_raw(user - META_SIZE, meta.quarantined().0)
+            .map_err(Self::misuse)?;
+        self.note_quarantine(EventKind::QuarantineDefer, pi, size);
+        let evicted = self.quarantine.push(QuarantinedBlock {
+            inner_ptr: pi,
+            size,
+        });
+        for b in evicted {
+            self.note_quarantine(EventKind::QuarantineEvict, b.inner_ptr, b.size);
+            self.inner
+                .free(&mut self.space, b.inner_ptr)
+                .map_err(Self::misuse)?;
+        }
+        Ok(())
     }
 }
 
@@ -503,26 +367,26 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
             }
             return Ok(ptr);
         }
-        let vuln = self.probe(req.fun, req.ccid.0);
-        let user = match (req.fun, req.old_ptr) {
-            (AllocFn::Realloc, Some(old)) => {
-                // Paper Section V: the buffer's CCID is updated to the
-                // realloc-time context — the new buffer is enhanced per the
-                // *realloc* patch lookup.
-                let old_meta = self.read_meta(old)?;
-                let old_size = self.user_size(old, old_meta)?;
-                let user = self.defended_alloc(AllocFn::Realloc, req.size, req.align, vuln)?;
-                let keep = old_size.min(req.size);
-                if keep > 0 {
-                    self.space.copy_raw(old, user, keep).map_err(Self::misuse)?;
-                }
-                self.stats.interposed_frees += 1;
-                self.defended_free(old)?;
-                user
-            }
-            _ => self.defended_alloc(req.fun, req.size, req.align, vuln)?,
+        // A realloc's old block is checked before anything is allocated or
+        // copied.
+        let old = match (req.fun, req.old_ptr) {
+            (AllocFn::Realloc, Some(old)) => Some((old, self.live_meta(old)?)),
+            _ => None,
         };
-        self.note_alloc(req.fun, req.ccid.0, req.size, vuln, user);
+        let (slot, vuln) = self.probe(req.fun, req.ccid.0);
+        let (user, pi) = self.defended_alloc(req.fun, req.size, req.align, vuln)?;
+        self.note_alloc(req, slot, vuln, pi);
+        if let Some((old, old_meta)) = old {
+            // Paper Section V: the buffer's CCID is updated to the
+            // realloc-time context — the new buffer is enhanced per the
+            // *realloc* patch lookup.
+            let keep = self.user_size(old_meta)?.min(req.size);
+            if keep > 0 {
+                self.space.copy_raw(old, user, keep).map_err(Self::misuse)?;
+            }
+            self.stats.interposed_frees += 1;
+            self.defended_free(old, old_meta)?;
+        }
         Ok(user)
     }
 
@@ -534,7 +398,10 @@ impl<A: BaseAllocator> HeapBackend for DefendedBackend<A> {
                 Err(e) => AccessOutcome::Stop(Self::misuse(e)),
             };
         }
-        match self.defended_free(ptr) {
+        match self
+            .live_meta(ptr)
+            .and_then(|meta| self.defended_free(ptr, meta))
+        {
             Ok(()) => AccessOutcome::Ok,
             Err(c) => AccessOutcome::Stop(c),
         }
@@ -946,50 +813,34 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_files_one_report_per_t_and_counts_hits() {
-        let mut d =
-            DefendedBackend::new(telemetry_cfg(table(AllocFn::Malloc, VULN, VulnFlags::ALL)));
-        for _ in 0..3 {
-            let p = d.alloc(&req(AllocFn::Malloc, 100, VULN)).unwrap();
-            d.free(p);
-        }
-        let snap = d.telemetry_snapshot().unwrap();
-        // Exactly one report per (FUN, CCID, T) despite three activations.
-        assert_eq!(
-            snap.reports.len(),
-            3,
-            "one report per T bit: {:?}",
-            snap.reports
-        );
-        for t in [
-            VulnFlags::OVERFLOW,
+    #[should_panic(expected = "telemetry keys at most 512 patches")]
+    fn telemetry_requires_a_table_within_capacity() {
+        let patches = (0..=PatchTable::CAPACITY as u64)
+            .map(|ccid| Patch::new(AllocFn::Malloc, ccid, VulnFlags::OVERFLOW));
+        let _ = DefendedBackend::new(telemetry_cfg(PatchTable::from_patches(patches)));
+    }
+
+    #[test]
+    fn quarantined_blocks_refuse_realloc_and_a_second_free() {
+        let mut d = DefendedBackend::new(DefenseConfig::with_table(table(
+            AllocFn::Malloc,
+            VULN,
             VulnFlags::USE_AFTER_FREE,
-            VulnFlags::UNINIT_READ,
-        ] {
-            let matching: Vec<_> = snap.reports.iter().filter(|r| r.vuln == t).collect();
-            assert_eq!(matching.len(), 1, "exactly one report for {t:?}");
-            assert_eq!(matching[0].fun, AllocFn::Malloc);
-            assert_eq!(matching[0].ccid, VULN);
-            assert_eq!(matching[0].slot, 0);
-        }
-        // Per-patch counters accumulate every hit.
-        assert_eq!(snap.per_patch.len(), 1);
-        assert_eq!(snap.per_patch[0].hits, 3);
-        assert_eq!(snap.per_patch[0].bytes, 300);
-        // Event stream: 3 hits, 3 guard installs, 3 zero-inits, 3 defers,
-        // 3 reports (one per T).
-        let count = |k: EventKind| snap.events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(EventKind::PatchHit), 3);
-        assert_eq!(count(EventKind::GuardInstall), 3);
-        assert_eq!(count(EventKind::ZeroInit), 3);
-        assert_eq!(count(EventKind::QuarantineDefer), 3);
-        assert_eq!(count(EventKind::AttackReported), 3);
-        assert_eq!(snap.dropped, 0);
-        // A second snapshot drains nothing new but keeps cumulative state.
-        let again = d.telemetry_snapshot().unwrap();
-        assert!(again.events.is_empty(), "ring drained destructively");
-        assert_eq!(again.reports.len(), 3, "reports are cumulative");
-        assert_eq!(again.per_patch[0].hits, 3);
+        )));
+        let p = d.alloc(&req(AllocFn::Malloc, 64, VULN)).unwrap();
+        d.write(p, 64, 0xAB);
+        assert!(d.free(p).is_ok());
+        let mut r = req(AllocFn::Realloc, 128, SAFE);
+        r.old_ptr = Some(p);
+        assert!(matches!(d.alloc(&r), Err(StopCause::HeapMisuse(m)) if m.contains("quarantined")));
+        assert!(matches!(
+            d.free(p),
+            AccessOutcome::Stop(StopCause::HeapMisuse(_))
+        ));
+        assert_eq!(d.quarantine().len(), 1);
+        let st = d.stats();
+        assert_eq!((st.quarantined_blocks, st.interposed_allocs), (1, 2));
+        assert_eq!(st.table_lookups, 1, "the refused realloc allocated nothing");
     }
 
     #[test]

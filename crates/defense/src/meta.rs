@@ -6,6 +6,7 @@
 //! bits  0..=3   type field: OVERFLOW | UAF | UNINIT_READ | ALIGNED
 //! bits  4..=39  (guarded buffers)    guard-page number (addr >> 12, 36 bits)
 //! bits  4..=51  (unguarded buffers)  user size (48 bits)
+//! bit  52                            quarantined (a UAF buffer already freed)
 //! bits 58..=63  (aligned buffers)    log2(alignment) (6 bits)
 //! ```
 //!
@@ -25,6 +26,7 @@ const ALIGNED_BIT: u64 = 1 << 3;
 const PAYLOAD_SHIFT: u32 = 4;
 const GUARD_MASK: u64 = (1 << 36) - 1;
 const SIZE_MASK: u64 = (1 << 48) - 1;
+const QUARANTINED_BIT: u64 = 1 << 52;
 const ALIGN_SHIFT: u32 = 58;
 
 /// The decoded/encoded metadata word.
@@ -86,6 +88,18 @@ impl MetaWord {
         self.0 & ALIGNED_BIT != 0
     }
 
+    /// Whether the buffer was freed into the quarantine: a second free or a
+    /// realloc of it is heap misuse.
+    pub fn is_quarantined(self) -> bool {
+        self.0 & QUARANTINED_BIT != 0
+    }
+
+    /// This word with the quarantined bit set.
+    #[must_use]
+    pub fn quarantined(self) -> Self {
+        MetaWord(self.0 | QUARANTINED_BIT)
+    }
+
     /// The guard page address (only meaningful when [`Self::has_guard`]).
     pub fn guard_page(self) -> Addr {
         ((self.0 >> PAYLOAD_SHIFT) & GUARD_MASK) << 12
@@ -107,6 +121,9 @@ impl fmt::Display for MetaWord {
         write!(f, "meta[{}", self.vuln())?;
         if self.is_aligned() {
             write!(f, ", align={}", self.alignment())?;
+        }
+        if self.is_quarantined() {
+            write!(f, ", quarantined")?;
         }
         if self.has_guard() {
             write!(f, ", guard={:#x}]", self.guard_page())
@@ -159,6 +176,20 @@ mod tests {
         let max_guard = ((1u64 << 48) - 1) & !0xFFF;
         let g = MetaWord::guarded(VulnFlags::OVERFLOW, max_guard, None);
         assert_eq!(g.guard_page(), max_guard);
+    }
+
+    #[test]
+    fn quarantined_bit_leaves_both_payloads_intact() {
+        let w = MetaWord::unguarded(VulnFlags::USE_AFTER_FREE, SIZE_MASK, Some(63));
+        let q = w.quarantined();
+        assert!(!w.is_quarantined() && q.is_quarantined());
+        assert_eq!(
+            (q.vuln(), q.size(), q.alignment()),
+            (w.vuln(), w.size(), w.alignment())
+        );
+        let g = MetaWord::guarded(VulnFlags::ALL, 0xFFFF_FFFF_F000, None).quarantined();
+        assert_eq!(g.guard_page(), 0xFFFF_FFFF_F000);
+        assert!(g.to_string().contains("quarantined"));
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl Quarantine {
         evicted
     }
 
-    /// Whether `inner_ptr` is currently quarantined.
-    pub fn contains(&self, inner_ptr: Addr) -> bool {
-        self.queue.iter().any(|b| b.inner_ptr == inner_ptr)
-    }
-
     /// Bytes currently deferred.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -81,11 +76,6 @@ impl Quarantine {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    /// The byte quota.
-    pub fn quota(&self) -> u64 {
-        self.quota
-    }
 }
 
 #[cfg(test)]
@@ -96,6 +86,11 @@ mod tests {
         QuarantinedBlock { inner_ptr: p, size }
     }
 
+    /// The held blocks' inner pointers, oldest first.
+    fn held(q: &Quarantine) -> Vec<Addr> {
+        q.queue.iter().map(|b| b.inner_ptr).collect()
+    }
+
     #[test]
     fn holds_blocks_within_quota() {
         let mut q = Quarantine::new(100);
@@ -103,7 +98,7 @@ mod tests {
         assert!(q.push(blk(0x20, 40)).is_empty());
         assert_eq!(q.bytes(), 80);
         assert_eq!(q.len(), 2);
-        assert!(q.contains(0x10) && q.contains(0x20));
+        assert_eq!(held(&q), [0x10, 0x20]);
     }
 
     #[test]
@@ -112,8 +107,7 @@ mod tests {
         let _ = q.push(blk(0x10, 60));
         let evicted = q.push(blk(0x20, 60));
         assert_eq!(evicted, vec![blk(0x10, 60)], "oldest goes first");
-        assert!(!q.contains(0x10));
-        assert!(q.contains(0x20));
+        assert_eq!(held(&q), [0x20]);
         assert_eq!(q.evictions(), 1);
         assert_eq!(q.bytes(), 60);
     }
@@ -135,7 +129,6 @@ mod tests {
         let _ = q.push(blk(3, 30));
         let evicted = q.push(blk(4, 90));
         assert_eq!(evicted.len(), 3, "all small blocks evicted");
-        assert!(q.contains(4));
-        assert_eq!(q.quota(), 100);
+        assert_eq!(held(&q), [4]);
     }
 }

@@ -1,38 +1,16 @@
 //! The hardened global allocator.
 
 use crate::ccid;
-use ht_patch::{AllocFn, Patch, VulnFlags};
-use ht_telemetry::{
-    AttackReport, Event, EventKind, EventRing, PatchCounterRow, PatchStripes, StripedCounter,
-    TelemetrySnapshot,
-};
+use ht_patch::{AllocFn, PatchTable, VulnFlags};
+use ht_telemetry::{Event, EventKind, Recorder, StripedCounter, TelemetrySnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// One installed patch, allocation-free representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PatchEntry {
-    /// Allocation API the patch applies to.
-    pub fun: AllocFn,
-    /// Allocation-time CCID (from [`ccid::current`] at the patched site).
-    pub ccid: u64,
-    /// Defenses to apply.
-    pub vuln: VulnFlags,
-}
-
-impl PatchEntry {
-    /// A new patch entry.
-    pub fn new(fun: AllocFn, ccid: u64, vuln: VulnFlags) -> Self {
-        Self { fun, ccid, vuln }
-    }
-}
-
-impl From<&Patch> for PatchEntry {
-    fn from(p: &Patch) -> Self {
-        Self::new(p.alloc_fn, p.ccid, p.vuln)
-    }
-}
+/// One installed patch: `{FUN, CCID, T}`.
+pub use ht_patch::Patch as PatchEntry;
 
 /// Snapshot of the allocator's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,11 +39,13 @@ pub struct HardenedStats {
     /// Bytes evicted from the quarantine back to the system.
     pub evicted_bytes: u64,
     /// Patches [`HardenedAlloc::install`] rejected because the table was
-    /// full or frozen (fail-open).
+    /// already sealed or held [`PatchTable::CAPACITY`] other keys
+    /// (fail-open).
     pub fail_open: u64,
-    /// Frees refused as heap misuse: a second free of a still-quarantined
+    /// Frees and reallocs refused as heap misuse: a still-quarantined
     /// block, or a pointer whose header check fails (already released, or
-    /// never returned by this allocator). The block is left alone.
+    /// never returned by this allocator). The block is left alone, and a
+    /// refused realloc returns null.
     pub misuse: u64,
 }
 
@@ -87,20 +67,28 @@ impl RegistryStats {
     }
 }
 
-/// Minimal spin lock (no parking, no allocation).
-#[derive(Debug, Default)]
-struct SpinLock {
+/// Minimal spin lock around a `T` (no parking, no allocation), on cache
+/// lines of its own: the patch table every allocation reads must not share
+/// a line with the quarantine lock every deferred free writes.
+#[repr(align(64))]
+struct SpinLock<T> {
     locked: AtomicBool,
+    data: UnsafeCell<T>,
 }
 
-impl SpinLock {
-    const fn new() -> Self {
+// SAFETY: `data` is only reached through the one `SpinGuard` that `locked`
+// admits at a time, or through `&mut self`.
+unsafe impl<T: Send> Sync for SpinLock<T> {}
+
+impl<T> SpinLock<T> {
+    const fn new(data: T) -> Self {
         Self {
             locked: AtomicBool::new(false),
+            data: UnsafeCell::new(data),
         }
     }
 
-    fn lock(&self) -> SpinGuard<'_> {
+    fn lock(&self) -> SpinGuard<'_, T> {
         while self
             .locked
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -112,164 +100,35 @@ impl SpinLock {
     }
 }
 
-struct SpinGuard<'a> {
-    lock: &'a SpinLock,
+impl<T> std::fmt::Debug for SpinLock<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpinLock").finish_non_exhaustive()
+    }
 }
 
-impl Drop for SpinGuard<'_> {
+struct SpinGuard<'a, T> {
+    lock: &'a SpinLock<T>,
+}
+
+impl<T> std::ops::Deref for SpinGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        // SAFETY: this guard holds the lock.
+        unsafe { &*self.lock.data.get() }
+    }
+}
+
+impl<T> std::ops::DerefMut for SpinGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: this guard holds the lock.
+        unsafe { &mut *self.lock.data.get() }
+    }
+}
+
+impl<T> Drop for SpinGuard<'_, T> {
     fn drop(&mut self) {
         self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-const PATCH_SLOTS: usize = 512;
-
-/// One published patch slot. `meta` packs
-/// `READY | fun << FUN_SHIFT | reported << REPORTED_SHIFT | vuln`; `ccid`
-/// holds the key's context ID. The `reported` field mirrors the vuln bit
-/// layout and carries the telemetry once-bits: bit `REPORTED_SHIFT + t` is
-/// set the first time the `T = 1 << t` defense of this patch fires, so the
-/// runtime files exactly one attack report per `(FUN, CCID, T)` without a
-/// lock.
-struct PatchSlot {
-    meta: AtomicU64,
-    ccid: AtomicU64,
-}
-
-const READY: u64 = 1 << 63;
-const FUN_SHIFT: u32 = 32;
-const REPORTED_SHIFT: u32 = 8;
-
-#[allow(clippy::declare_interior_mutable_const)] // used once per array slot
-const EMPTY_SLOT: PatchSlot = PatchSlot {
-    meta: AtomicU64::new(0),
-    ccid: AtomicU64::new(0),
-};
-
-/// The online patch table: a fixed open-addressing probe whose **lookups
-/// take no lock and touch no shared mutable state** — the hot path's common
-/// case (table miss) is one Acquire load per probed slot.
-///
-/// Writes (rare: patch installation at startup) serialize on a spin lock
-/// and publish each slot by storing `ccid` first, then the `meta` word with
-/// `READY` set (Release). A reader that observes `READY` (Acquire)
-/// therefore sees the matching `ccid`. Keys are never deleted, so probe
-/// sequences are stable forever; merged vulnerability bits only ever grow
-/// (`fetch_or`), so a racing reader sees a valid past or present value.
-///
-/// [`PatchSet::freeze`] seals the table against further installs — the
-/// moral equivalent of the paper `mprotect`-ing its table read-only after
-/// the configuration file is loaded. The telemetry once-bits (see
-/// [`PatchSlot`]) are the one field that still mutates after freeze; they
-/// are purely observational and masked out of every lookup.
-struct PatchSet {
-    lock: SpinLock,
-    frozen: AtomicBool,
-    slots: [PatchSlot; PATCH_SLOTS],
-}
-
-impl PatchSet {
-    const fn new() -> Self {
-        Self {
-            lock: SpinLock::new(),
-            frozen: AtomicBool::new(false),
-            slots: [EMPTY_SLOT; PATCH_SLOTS],
-        }
-    }
-
-    fn slot_of(fun: AllocFn, ccid: u64) -> usize {
-        let key = ccid ^ ((fun as u64) << 56);
-        (key.wrapping_mul(0x9E3779B97F4A7C15) >> (64 - 9)) as usize // log2(512)
-    }
-
-    fn freeze(&self) {
-        self.frozen.store(true, Ordering::Release);
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.frozen.load(Ordering::Acquire)
-    }
-
-    /// Returns whether the entry fit (false: table full or frozen).
-    fn insert(&self, e: PatchEntry) -> bool {
-        let _g = self.lock.lock();
-        if self.is_frozen() {
-            return false;
-        }
-        let start = Self::slot_of(e.fun, e.ccid);
-        for i in 0..PATCH_SLOTS {
-            let s = (start + i) % PATCH_SLOTS;
-            let slot = &self.slots[s];
-            // The lock holder is the only writer, so Relaxed reads suffice
-            // here; publication to readers happens via the Release below.
-            let meta = slot.meta.load(Ordering::Relaxed);
-            if meta & READY == 0 {
-                slot.ccid.store(e.ccid, Ordering::Relaxed);
-                slot.meta.store(
-                    READY | ((e.fun as u64) << FUN_SHIFT) | u64::from(e.vuln.bits()),
-                    Ordering::Release,
-                );
-                return true;
-            }
-            if (meta >> FUN_SHIFT) & 0xFF == e.fun as u64
-                && slot.ccid.load(Ordering::Relaxed) == e.ccid
-            {
-                slot.meta
-                    .fetch_or(u64::from(e.vuln.bits()), Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Lock-free probe (see the type-level comment for the protocol).
-    /// Returns the vulnerability bits and the slot index of the hit.
-    #[inline]
-    fn lookup_slot(&self, fun: AllocFn, ccid: u64) -> Option<(usize, VulnFlags)> {
-        let start = Self::slot_of(fun, ccid);
-        for i in 0..PATCH_SLOTS {
-            let s = (start + i) % PATCH_SLOTS;
-            let slot = &self.slots[s];
-            let meta = slot.meta.load(Ordering::Acquire);
-            if meta & READY == 0 {
-                return None;
-            }
-            if (meta >> FUN_SHIFT) & 0xFF == fun as u64 && slot.ccid.load(Ordering::Relaxed) == ccid
-            {
-                return Some((s, VulnFlags::from_bits_truncate(meta as u8)));
-            }
-        }
-        None
-    }
-
-    #[cfg(test)]
-    fn lookup(&self, fun: AllocFn, ccid: u64) -> VulnFlags {
-        self.lookup_slot(fun, ccid)
-            .map_or(VulnFlags::NONE, |(_, v)| v)
-    }
-
-    /// The published patch in slot `s`, if any.
-    fn entry_at(&self, s: usize) -> Option<PatchEntry> {
-        let slot = self.slots.get(s)?;
-        let meta = slot.meta.load(Ordering::Acquire);
-        if meta & READY == 0 {
-            return None;
-        }
-        let fun = *AllocFn::ALL.get(((meta >> FUN_SHIFT) & 0xFF) as usize)?;
-        Some(PatchEntry::new(
-            fun,
-            slot.ccid.load(Ordering::Relaxed),
-            VulnFlags::from_bits_truncate(meta as u8),
-        ))
-    }
-
-    /// Sets the once-bit for vulnerability type `t` (a single bit) in slot
-    /// `s`. Returns `true` exactly once per `(slot, t)` — the caller files
-    /// the attack report on `true`.
-    fn report_once(&self, s: usize, t: VulnFlags) -> bool {
-        let bit = u64::from(t.bits()) << REPORTED_SHIFT;
-        let prev = self.slots[s].meta.fetch_or(bit, Ordering::Relaxed);
-        prev & bit == 0
     }
 }
 
@@ -295,8 +154,10 @@ const LINK: usize = 4;
 
 const VULN_MASK: u64 = 0b111;
 const QUARANTINED: u64 = 1 << 3;
-/// Patch-table slot (telemetry attribution), 9 bits.
+/// Patch-table slot (telemetry attribution), 9 bits: see
+/// [`PatchTable::CAPACITY`].
 const SLOT_SHIFT: u32 = 4;
+const SLOT_MASK: u64 = (1 << 9) - 1;
 /// Guard page number (`addr >> 12`), 36 bits: a 48-bit address space.
 const GUARD_SHIFT: u32 = 16;
 const GUARD_MASK: u64 = (1 << 36) - 1;
@@ -390,9 +251,9 @@ const CACHE_BIN_PAGES: usize = 16;
 /// call. The region addresses live here, out of band: nothing is linked
 /// through region memory, so a dangling write into a cached region cannot
 /// corrupt the cache.
+#[derive(Debug)]
 struct GuardCache {
-    lock: SpinLock,
-    bins: UnsafeCell<Bins>,
+    bins: SpinLock<Bins>,
 }
 
 struct Bins {
@@ -402,15 +263,10 @@ struct Bins {
     len: [usize; CACHE_CLASSES],
 }
 
-// SAFETY: `bins` is only read or written with `lock` held; `lock` itself is
-// atomic.
-unsafe impl Sync for GuardCache {}
-
 impl GuardCache {
     const fn new() -> Self {
         Self {
-            lock: SpinLock::new(),
-            bins: UnsafeCell::new(Bins {
+            bins: SpinLock::new(Bins {
                 regions: [[0; CACHE_BIN_PAGES]; CACHE_CLASSES],
                 len: [0; CACHE_CLASSES],
             }),
@@ -431,9 +287,7 @@ impl GuardCache {
     /// Takes a cached region with a `body`-byte body; returns its base.
     fn pop(&self, body: usize) -> Option<usize> {
         let c = Self::class(body)?;
-        let _g = self.lock.lock();
-        // SAFETY: the lock is held.
-        let b = unsafe { &mut *self.bins.get() };
+        let mut b = self.bins.lock();
         if b.len[c] == 0 {
             return None;
         }
@@ -448,13 +302,12 @@ impl GuardCache {
         let Some(c) = Self::class(body) else {
             return false;
         };
-        let _g = self.lock.lock();
-        // SAFETY: the lock is held.
-        let b = unsafe { &mut *self.bins.get() };
+        let mut b = self.bins.lock();
         if b.len[c] == Self::depth(body) {
             return false;
         }
-        b.regions[c][b.len[c]] = region;
+        let n = b.len[c];
+        b.regions[c][n] = region;
         b.len[c] += 1;
         true
     }
@@ -464,10 +317,11 @@ impl GuardCache {
 /// [`LINK`] words of the quarantined blocks, with a pure byte quota: push
 /// at the tail, then evict from the head while the bytes exceed the quota
 /// (a block larger than the quota therefore passes straight through) — the
-/// semantics of the simulated backend's quarantine.
+/// semantics of the simulated backend's quarantine. The link words of the
+/// queued blocks are only read or written with the lock held.
+#[derive(Debug)]
 struct Quarantine {
-    lock: SpinLock,
-    fifo: UnsafeCell<Fifo>,
+    fifo: SpinLock<Fifo>,
 }
 
 /// Oldest and youngest block (user addresses, 0 = empty) and occupancy.
@@ -478,15 +332,10 @@ struct Fifo {
     bytes: usize,
 }
 
-// SAFETY: `fifo` and the link words of the blocks it queues are only read
-// or written with `lock` held; `lock` itself is atomic.
-unsafe impl Sync for Quarantine {}
-
 impl Quarantine {
     const fn new() -> Self {
         Self {
-            lock: SpinLock::new(),
-            fifo: UnsafeCell::new(Fifo {
+            fifo: SpinLock::new(Fifo {
                 head: 0,
                 tail: 0,
                 blocks: 0,
@@ -506,8 +355,7 @@ impl Quarantine {
     /// caller and not already queued.
     unsafe fn push(&self, user: usize, size: usize, quota: usize) -> usize {
         write_word(user, LINK, 0);
-        let _g = self.lock.lock();
-        let q = &mut *self.fifo.get();
+        let mut q = self.fifo.lock();
         if q.tail == 0 {
             q.head = user;
         } else {
@@ -537,23 +385,20 @@ impl Quarantine {
     /// Empties the FIFO and returns its oldest block: a chain through
     /// [`LINK`] ending in 0.
     fn take_all(&mut self) -> usize {
-        let q = self.fifo.get_mut();
+        let q = self.fifo.data.get_mut();
         let head = q.head;
         (q.head, q.tail, q.blocks, q.bytes) = (0, 0, 0, 0);
         head
     }
 
     fn usage(&self) -> (usize, usize) {
-        let _g = self.lock.lock();
-        // SAFETY: the lock is held.
-        let q = unsafe { &*self.fifo.get() };
+        let q = self.fifo.lock();
         (q.blocks, q.bytes)
     }
 
     fn contains(&self, user: usize) -> bool {
-        let _g = self.lock.lock();
-        // SAFETY: the lock is held.
-        let mut b = unsafe { (*self.fifo.get()).head };
+        let q = self.fifo.lock();
+        let mut b = q.head;
         while b != 0 && b != user {
             // SAFETY: a queued block stays allocated, with its header, while
             // the lock is held.
@@ -563,25 +408,13 @@ impl Quarantine {
     }
 }
 
-impl std::fmt::Debug for GuardCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GuardCache").finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for Quarantine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Quarantine").finish_non_exhaustive()
-    }
-}
-
 /// The HeapTherapy+ hardened allocator over the system allocator.
 ///
-/// Usable as a `static` (all state is fixed-size and allocation-free) and
-/// therefore as `#[global_allocator]`. Defenses are driven by the patch set
-/// installed with [`HardenedAlloc::install`]; unpatched allocations pay one
-/// table probe and a 16-byte header, and otherwise go straight to
-/// [`System`].
+/// Usable as a `static` (all state is fixed-size and allocation-free, apart
+/// from the patch table [`HardenedAlloc::install`] publishes once) and
+/// therefore as `#[global_allocator]`. Defenses are driven by that table;
+/// unpatched allocations pay one table probe and a 16-byte header, and
+/// otherwise go straight to [`System`].
 ///
 /// Every returned buffer carries a header (paper Fig. 6): a meta word
 /// recording the defenses applied, and a check word binding it to the
@@ -590,7 +423,10 @@ impl std::fmt::Debug for Quarantine {
 /// fails the check (counted in [`HardenedStats::misuse`]).
 #[derive(Debug)]
 pub struct HardenedAlloc {
-    patches: PatchSet,
+    /// The frozen patch table, published once by the first
+    /// [`Self::install`] or [`Self::freeze`]: the paper `mprotect`s its
+    /// table once the configuration file is loaded.
+    table: OnceLock<PatchTable>,
     quarantine: Quarantine,
     guard_cache: GuardCache,
     quota: AtomicUsize,
@@ -612,17 +448,12 @@ pub struct HardenedAlloc {
     /// hit, patched free), never on the unpatched fast path — disabled
     /// telemetry therefore costs zero atomics per ordinary allocation.
     telemetry_on: AtomicBool,
-    /// Defense-activation events (telemetry; lock-free, allocation-free).
-    events: EventRing,
-    /// Per-patch-slot hit/byte counters (telemetry).
-    patch_counters: PatchStripes<PATCH_SLOTS>,
+    /// Events, per-patch counters and reports (lock-free, allocation-free).
+    recorder: Recorder,
 }
 
-impl std::fmt::Debug for PatchSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PatchSet").finish_non_exhaustive()
-    }
-}
+/// The table of an allocator nothing was installed in.
+static NO_PATCHES: PatchTable = PatchTable::new();
 
 impl Default for HardenedAlloc {
     fn default() -> Self {
@@ -631,11 +462,11 @@ impl Default for HardenedAlloc {
 }
 
 impl HardenedAlloc {
-    /// A hardened allocator with an empty patch set and a 64 MiB quarantine
+    /// A hardened allocator with no patch table yet and a 64 MiB quarantine
     /// quota.
     pub const fn new() -> Self {
         Self {
-            patches: PatchSet::new(),
+            table: OnceLock::new(),
             quarantine: Quarantine::new(),
             guard_cache: GuardCache::new(),
             quota: AtomicUsize::new(64 * 1024 * 1024),
@@ -654,40 +485,51 @@ impl HardenedAlloc {
             tagged_allocs: StripedCounter::new(),
             tagged_frees: StripedCounter::new(),
             telemetry_on: AtomicBool::new(false),
-            events: EventRing::new(),
-            patch_counters: PatchStripes::new(),
+            recorder: Recorder::new(),
         }
     }
 
-    /// Installs patches (idempotent per `(FUN, CCID)`; bits merge).
+    /// Builds the patch table from `patches` (duplicate keys merge their
+    /// bits) and publishes it, sealing it: a later call, or one after
+    /// [`Self::freeze`], accepts nothing.
     ///
-    /// Returns how many entries were accepted (the fixed table holds 512;
-    /// a [frozen](Self::freeze) table accepts none). Each rejected entry
-    /// counts in [`HardenedStats::fail_open`].
+    /// Returns how many entries were accepted. The table holds
+    /// [`PatchTable::CAPACITY`] distinct keys; each rejected entry counts
+    /// in [`HardenedStats::fail_open`].
     pub fn install(&self, patches: &[PatchEntry]) -> usize {
-        patches
+        let mut keys = BTreeSet::new();
+        let fits: Vec<PatchEntry> = patches
             .iter()
-            .filter(|&&p| {
-                let ok = self.patches.insert(p);
-                if !ok {
-                    self.fail_open.incr();
-                }
-                ok
+            .filter(|p| {
+                keys.contains(&p.key())
+                    || (keys.len() < PatchTable::CAPACITY && keys.insert(p.key()))
             })
-            .count()
+            .cloned()
+            .collect();
+        let n = fits.len();
+        let accepted = self
+            .table
+            .set(PatchTable::from_patches(fits))
+            .map_or(0, |()| n);
+        self.fail_open.add((patches.len() - accepted) as u64);
+        accepted
     }
 
-    /// Seals the patch table: further [`Self::install`] calls accept
-    /// nothing. The paper `mprotect`s its table read-only once the
-    /// configuration file is loaded; this is the same promise — after
-    /// `freeze`, the table is immutable and every lookup is a pure read.
+    /// Seals the patch table (an empty one if nothing was installed):
+    /// further [`Self::install`] calls accept nothing, and every lookup is
+    /// a pure read.
     pub fn freeze(&self) {
-        self.patches.freeze();
+        let _ = self.table.set(PatchTable::new());
     }
 
-    /// Whether [`Self::freeze`] has been called.
+    /// Whether the patch table is sealed.
     pub fn is_frozen(&self) -> bool {
-        self.patches.is_frozen()
+        self.table.get().is_some()
+    }
+
+    /// The published patch table, empty before the first install.
+    fn table(&self) -> &PatchTable {
+        self.table.get().unwrap_or(&NO_PATCHES)
     }
 
     /// Counters over the live header-tagged patched buffers — those whose
@@ -711,9 +553,7 @@ impl HardenedAlloc {
     ///
     /// Propagates [`ht_patch::ConfigError`] for malformed input.
     pub fn install_from_config(&self, text: &str) -> Result<usize, ht_patch::ConfigError> {
-        let patches = ht_patch::from_config_text(text)?;
-        let entries: Vec<PatchEntry> = patches.iter().map(PatchEntry::from).collect();
-        Ok(self.install(&entries))
+        Ok(self.install(&ht_patch::from_config_text(text)?))
     }
 
     /// Sets the quarantine quota in bytes.
@@ -753,123 +593,29 @@ impl HardenedAlloc {
         self.telemetry_on.load(Ordering::Relaxed)
     }
 
-    /// Records a table hit plus the defenses about to be applied, files
-    /// one-time attack reports per newly fired `(FUN, CCID, T)` with
-    /// `T != UAF` (the UAF report files on the free path, where the
-    /// quarantine defense actually runs).
-    #[inline]
-    fn note_patch_hit(&self, fun: AllocFn, ccid: u64, vuln: VulnFlags, slot: usize, size: usize) {
-        if !self.telemetry_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let size = size as u64;
-        self.patch_counters.record(slot, size);
-        let slot32 = slot as u32;
-        self.events.push(Event::patched(
-            EventKind::PatchHit,
-            fun,
-            vuln,
-            slot32,
-            ccid,
-            size,
-        ));
-        for (t, kind) in [
-            (VulnFlags::OVERFLOW, EventKind::GuardInstall),
-            (VulnFlags::UNINIT_READ, EventKind::ZeroInit),
-        ] {
-            if vuln.contains(t) {
-                self.events
-                    .push(Event::patched(kind, fun, t, slot32, ccid, size));
-                if self.patches.report_once(slot, t) {
-                    self.events.push(Event::patched(
-                        EventKind::AttackReported,
-                        fun,
-                        t,
-                        slot32,
-                        ccid,
-                        size,
-                    ));
-                }
-            }
-        }
-    }
-
     /// Records a quarantine defer/evict of a UAF buffer with meta word
-    /// `meta`, filing the one-time UAF attack report on the first defer of
-    /// its patch.
+    /// `meta`.
     #[inline]
     fn note_quarantine(&self, kind: EventKind, meta: u64, size: usize) {
-        if !self.telemetry_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let slot = (meta >> SLOT_SHIFT) as usize % PATCH_SLOTS;
-        let Some(p) = self.patches.entry_at(slot) else {
-            return;
-        };
-        let (slot32, size) = (slot as u32, size as u64);
-        let uaf = VulnFlags::USE_AFTER_FREE;
-        self.events
-            .push(Event::patched(kind, p.fun, uaf, slot32, p.ccid, size));
-        if kind == EventKind::QuarantineDefer && self.patches.report_once(slot, uaf) {
-            self.events.push(Event::patched(
-                EventKind::AttackReported,
-                p.fun,
-                uaf,
-                slot32,
-                p.ccid,
-                size,
-            ));
+        if self.telemetry_enabled() {
+            let slot = ((meta >> SLOT_SHIFT) & SLOT_MASK) as u32;
+            self.recorder
+                .quarantine(self.table(), kind, slot, size as u64);
         }
     }
 
     /// Drains the event ring (observer API — allocates, so never call it
     /// from inside an allocation).
     pub fn drain_events(&self) -> Vec<Event> {
-        self.events.drain_vec()
+        self.recorder.drain_events()
     }
 
-    /// Drains the ring and merges the per-patch counters into a full
-    /// telemetry snapshot. Attack reports are rebuilt from the drained
-    /// `attack-reported` events (call chains stay undecoded here — the
-    /// allocator has no encoding plan; `heaptherapy-core` decodes).
+    /// Drains the ring and resolves the per-patch counters and attack
+    /// reports against the patch table (see [`Recorder::snapshot`]). Call
+    /// chains stay undecoded here — the allocator has no encoding plan;
+    /// `heaptherapy-core` decodes.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let events = self.drain_events();
-        let reports = events
-            .iter()
-            .filter(|e| e.kind == EventKind::AttackReported)
-            .map(|e| AttackReport {
-                fun: e.fun,
-                ccid: e.ccid,
-                vuln: e.vuln,
-                slot: e.slot,
-                size: e.size,
-                call_chain: Vec::new(),
-            })
-            .collect();
-        let merged = self.patch_counters.merge();
-        let per_patch = merged
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.hits > 0)
-            .filter_map(|(slot, c)| {
-                let p = self.patches.entry_at(slot)?;
-                Some(PatchCounterRow {
-                    slot,
-                    fun: p.fun,
-                    ccid: p.ccid,
-                    vuln: p.vuln,
-                    hits: c.hits,
-                    bytes: c.bytes,
-                })
-            })
-            .collect();
-        TelemetrySnapshot {
-            events,
-            delivered: self.events.delivered(),
-            dropped: self.events.dropped(),
-            per_patch,
-            reports,
-        }
+        self.recorder.snapshot(self.table())
     }
 
     /// Whether `ptr` is currently in the deferred-free quarantine.
@@ -961,12 +707,15 @@ impl HardenedAlloc {
         self.interposed_allocs.incr();
         let ccid = ccid::current();
         let (slot, vuln) = self
-            .patches
+            .table()
             .lookup_slot(fun, ccid)
             .unwrap_or((0, VulnFlags::NONE));
         if !vuln.is_empty() {
             self.table_hits.incr();
-            self.note_patch_hit(fun, ccid, vuln, slot, layout.size());
+            if self.telemetry_enabled() {
+                let size = layout.size() as u64;
+                self.recorder.alloc(fun, ccid, vuln, slot as u32, size);
+            }
         }
         let (size, align) = (layout.size(), layout.align());
         let hdr = header_len(align, vuln);
@@ -1062,6 +811,39 @@ impl HardenedAlloc {
             b = next;
         }
     }
+
+    /// The meta word of `user`, if its header verifies and it is not
+    /// quarantined; otherwise counts the misuse.
+    ///
+    /// # Safety
+    ///
+    /// The two header words below `user` must be readable.
+    unsafe fn verified_meta(&self, user: usize) -> Option<u64> {
+        let meta = read_word(user, META);
+        if read_word(user, CHECK) != seal(user, meta) || meta & QUARANTINED != 0 {
+            self.misuse.incr();
+            return None;
+        }
+        Some(meta)
+    }
+
+    /// Frees a buffer whose header [verified](Self::verified_meta) as
+    /// `meta`: defers a UAF one, releases any other.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::release`].
+    unsafe fn free_verified(&self, user: usize, meta: u64, size: usize) {
+        let vuln = meta_vuln(meta);
+        if vuln.contains(VulnFlags::OVERFLOW) || vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.tagged_frees.incr();
+        }
+        if vuln.contains(VulnFlags::USE_AFTER_FREE) {
+            self.defer(user, meta, size);
+        } else {
+            self.release(user, meta, size);
+        }
+    }
 }
 
 impl Drop for HardenedAlloc {
@@ -1095,35 +877,30 @@ unsafe impl GlobalAlloc for HardenedAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.interposed_frees.incr();
-        let user = ptr as usize;
-        let meta = read_word(user, META);
-        if read_word(user, CHECK) != seal(user, meta) || meta & QUARANTINED != 0 {
-            self.misuse.incr();
-            return;
-        }
-        let vuln = meta_vuln(meta);
-        if vuln.contains(VulnFlags::OVERFLOW) || vuln.contains(VulnFlags::USE_AFTER_FREE) {
-            self.tagged_frees.incr();
-        }
-        if vuln.contains(VulnFlags::USE_AFTER_FREE) {
-            self.defer(user, meta, layout.size());
-        } else {
-            self.release(user, meta, layout.size());
+        if let Some(meta) = self.verified_meta(ptr as usize) {
+            self.free_verified(ptr as usize, meta, layout.size());
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Interpose as the realloc API: the *realloc-time* context decides
-        // the defense (paper Section V).
+        // The old header is checked before anything is allocated or copied:
+        // a realloc of a quarantined or released block would read freed
+        // data past the defense.
+        let Some(meta) = self.verified_meta(ptr as usize) else {
+            return std::ptr::null_mut();
+        };
         let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
             return std::ptr::null_mut();
         };
+        // Interpose as the realloc API: the *realloc-time* context decides
+        // the defense (paper Section V).
         let new_ptr = self.alloc_with(AllocFn::Realloc, new_layout, false);
         if new_ptr.is_null() {
             return new_ptr;
         }
         std::ptr::copy_nonoverlapping(ptr, new_ptr, layout.size().min(new_size));
-        self.dealloc(ptr, layout);
+        self.interposed_frees.incr();
+        self.free_verified(ptr as usize, meta, layout.size());
         new_ptr
     }
 }
@@ -1358,14 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_entry_from_patch() {
-        let p = Patch::new(AllocFn::Malloc, 7, VulnFlags::ALL);
-        let e = PatchEntry::from(&p);
-        assert_eq!(e.ccid, 7);
-        assert_eq!(e.vuln, VulnFlags::ALL);
-    }
-
-    #[test]
     fn install_merges_duplicate_keys() {
         let a = HardenedAlloc::new();
         assert_eq!(
@@ -1376,8 +1145,33 @@ mod tests {
             2
         );
         assert_eq!(
-            a.patches.lookup(AllocFn::Malloc, 9),
-            VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ
+            a.table().lookup(AllocFn::Malloc, 9),
+            Some(VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ)
+        );
+        assert!(a.is_frozen(), "the first install seals the table");
+        assert_eq!(
+            a.install(&[PatchEntry::new(AllocFn::Malloc, 10, VulnFlags::OVERFLOW)]),
+            0
+        );
+        assert_eq!(a.stats().fail_open, 1);
+    }
+
+    #[test]
+    fn entries_past_capacity_fail_open() {
+        let a = HardenedAlloc::new();
+        let mut entries: Vec<PatchEntry> = (0..=PatchTable::CAPACITY as u64)
+            .map(|ccid| PatchEntry::new(AllocFn::Malloc, ccid, VulnFlags::OVERFLOW))
+            .collect();
+        // A key already in the table still merges once it is full.
+        entries.push(PatchEntry::new(AllocFn::Malloc, 0, VulnFlags::UNINIT_READ));
+        assert_eq!(a.install(&entries), PatchTable::CAPACITY + 1);
+        assert_eq!(a.stats().fail_open, 1);
+        let t = a.table();
+        assert_eq!(t.len(), PatchTable::CAPACITY);
+        assert_eq!(t.lookup(AllocFn::Malloc, PatchTable::CAPACITY as u64), None);
+        assert_eq!(
+            t.lookup_slot(AllocFn::Malloc, 0),
+            Some((0, VulnFlags::OVERFLOW | VulnFlags::UNINIT_READ))
         );
     }
 
@@ -1435,62 +1229,6 @@ mod tests {
         let snap = a.telemetry_snapshot();
         assert!(snap.is_empty(), "disabled telemetry observed {snap:?}");
         assert_eq!(snap.delivered, 0);
-    }
-
-    #[test]
-    fn telemetry_records_defenses_and_files_one_report_per_t() {
-        let a = HardenedAlloc::new();
-        a.set_telemetry(true);
-        let here = ccid::with_site(0x99, ccid::current);
-        a.install(&[PatchEntry::new(AllocFn::Malloc, here, VulnFlags::ALL)]);
-        a.freeze();
-        unsafe {
-            let l = layout(200, 8);
-            for _ in 0..3 {
-                let p = {
-                    let _site = ccid::CallScope::enter(0x99);
-                    a.alloc(l)
-                };
-                a.dealloc(p, l);
-            }
-        }
-        let snap = a.telemetry_snapshot();
-        // 3 hits of one ALL-patch: OF + UR report at first alloc, UAF
-        // report at first defer — exactly one report per (FUN, CCID, T).
-        assert_eq!(snap.reports.len(), 3, "{:?}", snap.reports);
-        let mut types: Vec<VulnFlags> = snap.reports.iter().map(|r| r.vuln).collect();
-        types.sort();
-        assert_eq!(
-            types,
-            vec![
-                VulnFlags::OVERFLOW,
-                VulnFlags::USE_AFTER_FREE,
-                VulnFlags::UNINIT_READ
-            ]
-        );
-        for r in &snap.reports {
-            assert_eq!(r.fun, AllocFn::Malloc);
-            assert_eq!(r.ccid, here);
-            assert_eq!(r.size, 200);
-        }
-        // Per-patch counters: 3 hits x 200 bytes against the one patch.
-        assert_eq!(snap.per_patch.len(), 1);
-        assert_eq!(snap.per_patch[0].hits, 3);
-        assert_eq!(snap.per_patch[0].bytes, 600);
-        assert_eq!(snap.per_patch[0].ccid, here);
-        // Events: per round one patch-hit + guard-install + zero-init +
-        // quarantine-defer, plus the 3 one-time attack reports.
-        let count = |k: EventKind| snap.events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(EventKind::PatchHit), 3);
-        assert_eq!(count(EventKind::GuardInstall), 3);
-        assert_eq!(count(EventKind::ZeroInit), 3);
-        assert_eq!(count(EventKind::QuarantineDefer), 3);
-        assert_eq!(count(EventKind::AttackReported), 3);
-        assert_eq!(snap.dropped, 0);
-        // A second snapshot delivers no stale events and no new reports.
-        let again = a.telemetry_snapshot();
-        assert!(again.events.is_empty(), "events delivered exactly once");
-        assert!(again.reports.is_empty());
     }
 
     #[test]
@@ -1593,6 +1331,32 @@ mod tests {
         assert_eq!(st.misuse, 1);
         assert_eq!((st.quarantined, st.evictions), (1, 0));
         assert_eq!(a.registry_stats().live(), 0);
+    }
+
+    #[test]
+    fn realloc_of_a_held_block_is_refused_before_any_copy() {
+        let a = uaf_alloc(0xCD, 1 << 20);
+        unsafe {
+            let l = layout(64, 16);
+            let p = alloc_at(&a, 0xCD, l);
+            std::ptr::write_bytes(p, 0xAB, 64);
+            a.dealloc(p, l);
+            let allocs = a.stats().interposed_allocs;
+            assert!(
+                a.realloc(p, l, 128).is_null(),
+                "freed data never copied out"
+            );
+            assert_eq!(a.stats().interposed_allocs, allocs, "nothing allocated");
+            assert_eq!(a.quarantine_usage(), (1, 64));
+            assert!(a.is_quarantined(p));
+            // A released block's realloc is refused the same way.
+            let q = a.alloc(l);
+            a.dealloc(q, l);
+            assert!(a.realloc(q, l, 128).is_null());
+        }
+        let st = a.stats();
+        assert_eq!(st.misuse, 2);
+        assert_eq!((st.quarantined, st.evictions), (1, 0));
     }
 
     #[test]
@@ -1922,23 +1686,19 @@ mod tests {
     #[test]
     fn spinlock_mutual_exclusion() {
         use std::sync::Arc;
-        let lock = Arc::new(SpinLock::new());
-        let counter = Arc::new(AtomicUsize::new(0));
+        let lock = Arc::new(SpinLock::new(0usize));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let lock = lock.clone();
-            let counter = counter.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    let _g = lock.lock();
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
+                    *lock.lock() += 1;
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 4000);
+        assert_eq!(*lock.lock(), 4000);
     }
 }

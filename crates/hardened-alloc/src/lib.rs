@@ -8,7 +8,7 @@
 //!   driven by RAII [`ccid::CallScope`] guards placed at instrumented call
 //!   sites,
 //! * [`HardenedAlloc`] — wraps the system allocator; every allocation probes
-//!   the installed patch set with the current `(FUN, CCID)`:
+//!   the installed `ht_patch::PatchTable` with the current `(FUN, CCID)`:
 //!   * overflow patches allocate via `mmap` with a trailing
 //!     `PROT_NONE` **guard page** (`libc::mprotect`); freed guarded
 //!     regions are recycled through a bounded per-page-count cache, so a
@@ -23,11 +23,12 @@
 //!   limit, and a double free is refused instead of reaching the system
 //!   allocator.
 //!
-//! Everything on the allocation path is allocation-free (a fixed patch
-//! table, per-buffer headers, a spin-locked intrusive FIFO, a fixed guard
-//! cache, atomics) so the
-//! type is usable as `#[global_allocator]` — see
-//! `examples/hardened_allocator.rs` at the workspace root.
+//! Everything on the allocation path is allocation-free (a patch table
+//! published once and then only read, per-buffer headers, a spin-locked
+//! intrusive FIFO, a fixed guard cache, atomics, and the shared
+//! `ht_telemetry::Recorder`), so the type is usable as
+//! `#[global_allocator]` — see `examples/hardened_allocator.rs` at the
+//! workspace root.
 //!
 //! `libc` is the one dependency outside the project's standard allowance:
 //! `std` exposes no page-permission API, and guard pages are the point.

@@ -7,9 +7,9 @@ use crate::{AllocFn, Patch, VulnFlags};
 /// Built once at program initialization from the configuration file and then
 /// frozen (the paper `mprotect`s its pages read-only; here immutability is
 /// enforced by the type: there is no mutating method). The backing store is
-/// a flat open-addressing probe array sized to ≤ 50% load — the hot lookup
-/// is a hash, a mask, and a short linear scan over one cache line in the
-/// common case, with no `HashMap` bucket indirection and no SipHash.
+/// a flat open-addressing probe array at ≤ 1/8 load — the hot lookup is a
+/// multiply, a shift and, for the common miss, almost always one empty
+/// cell, with no `HashMap` bucket indirection and no SipHash.
 ///
 /// Duplicate keys merge their vulnerability bits — an input exploiting
 /// multiple vulnerabilities of one buffer yields one entry with several bits
@@ -17,24 +17,45 @@ use crate::{AllocFn, Patch, VulnFlags};
 ///
 /// [`PatchTable::iter`] yields entries sorted by `(FUN, CCID)`, so every
 /// report or configuration file derived from a table is byte-identical
-/// across runs.
+/// across runs. A patch's position in that order is its *slot*: the dense
+/// index both defense backends key their telemetry by.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatchTable {
-    /// Probe array; `None` = empty slot. Power-of-two length.
-    slots: Vec<Option<((AllocFn, u64), VulnFlags)>>,
+    /// Probe array; `None` = empty cell. Power-of-two length.
+    slots: Vec<Option<Cell>>,
     /// The merged entries, sorted by `(FUN, CCID)`.
     entries: Vec<(AllocFn, u64, VulnFlags)>,
 }
 
+/// One probe-array cell: a key, its merged bits and its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    ccid: u64,
+    fun: AllocFn,
+    vuln: VulnFlags,
+    slot: u32,
+}
+
+/// The first probe cell of a key in an array of `2^bits` cells: the top
+/// bits of a multiplicative hash (the low bits of the product depend only
+/// on the low bits of the CCID).
 #[inline]
-fn key_hash(fun: AllocFn, ccid: u64) -> usize {
-    (ccid ^ ((fun as u64) << 56)).wrapping_mul(0x9E3779B97F4A7C15) as usize
+fn home(fun: AllocFn, ccid: u64, bits: u32) -> usize {
+    ((ccid ^ ((fun as u64) << 56)).wrapping_mul(0x9E3779B97F4A7C15) >> (64 - bits)) as usize
 }
 
 impl PatchTable {
+    /// The most patches a table keyed into telemetry holds: the range of
+    /// the real heap's 9-bit meta-word slot field. The hardened allocator
+    /// fails open past it; a telemetry-armed simulator refuses more.
+    pub const CAPACITY: usize = 512;
+
     /// An empty table (no buffer is considered vulnerable).
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            entries: Vec::new(),
+        }
     }
 
     /// Builds a table from patches, merging duplicates.
@@ -52,57 +73,51 @@ impl PatchTable {
                 false
             }
         });
-        let mut table = Self {
-            slots: Vec::new(),
-            entries,
-        };
-        table.rebuild_slots();
-        table
-    }
-
-    /// Rebuilds the probe array from `self.entries` at ≤ 50% load.
-    fn rebuild_slots(&mut self) {
-        let cap = (self.entries.len() * 2).next_power_of_two().max(8);
-        self.slots.clear();
-        self.slots.resize(cap, None);
-        let mask = cap - 1;
-        for &(fun, ccid, vuln) in &self.entries {
-            let mut s = key_hash(fun, ccid) & mask;
-            while self.slots[s].is_some() {
-                s = (s + 1) & mask;
+        // The probe array at ≤ 1/8 load: a miss, the common case, rarely
+        // probes a second cell.
+        let cap = (entries.len() * 8).next_power_of_two().max(64);
+        let mut slots = vec![None; cap];
+        for (slot, &(fun, ccid, vuln)) in entries.iter().enumerate() {
+            let mut s = home(fun, ccid, cap.trailing_zeros());
+            while slots[s].is_some() {
+                s = (s + 1) & (cap - 1);
             }
-            self.slots[s] = Some(((fun, ccid), vuln));
+            slots[s] = Some(Cell {
+                ccid,
+                fun,
+                vuln,
+                slot: slot as u32,
+            });
         }
+        Self { slots, entries }
     }
 
     /// O(1) probe: is a buffer allocated via `fun` under context `ccid`
     /// vulnerable, and to what?
     #[inline]
     pub fn lookup(&self, fun: AllocFn, ccid: u64) -> Option<VulnFlags> {
+        self.lookup_slot(fun, ccid).map(|(_, vuln)| vuln)
+    }
+
+    /// [`Self::lookup`] that also returns the patch's slot: its position in
+    /// the sorted entry list, resolved back by [`Self::entry`].
+    #[inline]
+    pub fn lookup_slot(&self, fun: AllocFn, ccid: u64) -> Option<(usize, VulnFlags)> {
         if self.entries.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut s = key_hash(fun, ccid) & mask;
-        while let Some((key, vuln)) = self.slots[s] {
-            if key == (fun, ccid) {
-                return Some(vuln);
+        let mut s = home(fun, ccid, self.slots.len().trailing_zeros());
+        while let Some(c) = self.slots[s] {
+            if c.ccid == ccid && c.fun == fun {
+                return Some((c.slot as usize, c.vuln));
             }
             s = (s + 1) & mask;
         }
         None
     }
 
-    /// The slot index of `(fun, ccid)`: its position in the sorted entry
-    /// list. A dense, stable per-patch key — telemetry counters and
-    /// once-bit report masks are keyed by it.
-    pub fn slot_index(&self, fun: AllocFn, ccid: u64) -> Option<usize> {
-        self.entries
-            .binary_search_by_key(&(fun, ccid), |&(f, c, _)| (f, c))
-            .ok()
-    }
-
-    /// The entry at [slot index](Self::slot_index) `i`.
+    /// The entry in slot `i`.
     pub fn entry(&self, i: usize) -> Option<(AllocFn, u64, VulnFlags)> {
         self.entries.get(i).copied()
     }
@@ -117,30 +132,10 @@ impl PatchTable {
         self.entries.is_empty()
     }
 
-    /// Iterates over entries in ascending `(FUN, CCID)` order — a
-    /// deterministic order, so derived output is stable across runs.
+    /// Iterates over entries in ascending `(FUN, CCID)` order — slot order,
+    /// a deterministic order, so derived output is stable across runs.
     pub fn iter(&self) -> impl Iterator<Item = (AllocFn, u64, VulnFlags)> + '_ {
         self.entries.iter().copied()
-    }
-}
-
-impl FromIterator<Patch> for PatchTable {
-    fn from_iter<I: IntoIterator<Item = Patch>>(iter: I) -> Self {
-        Self::from_patches(iter)
-    }
-}
-
-impl Extend<Patch> for PatchTable {
-    fn extend<I: IntoIterator<Item = Patch>>(&mut self, iter: I) {
-        // Rebuild-on-extend: extension happens at configuration-load time,
-        // never on the allocation path, so simplicity wins over speed.
-        let merged = Self::from_patches(
-            self.entries
-                .iter()
-                .map(|&(f, c, v)| Patch::new(f, c, v))
-                .chain(iter),
-        );
-        *self = merged;
     }
 }
 
@@ -182,21 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_extend() {
-        let mut t: PatchTable = [Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW)]
-            .into_iter()
-            .collect();
-        t.extend([Patch::new(AllocFn::Malloc, 1, VulnFlags::USE_AFTER_FREE)]);
-        assert_eq!(
-            t.lookup(AllocFn::Malloc, 1),
-            Some(VulnFlags::OVERFLOW | VulnFlags::USE_AFTER_FREE)
-        );
-        t.extend([Patch::new(AllocFn::Realloc, 7, VulnFlags::OVERFLOW)]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.lookup(AllocFn::Realloc, 7), Some(VulnFlags::OVERFLOW));
-    }
-
-    #[test]
     fn iter_yields_all_entries_sorted() {
         let t = PatchTable::from_patches([
             Patch::new(AllocFn::Realloc, 2, VulnFlags::ALL),
@@ -216,32 +196,27 @@ mod tests {
     }
 
     #[test]
-    fn slot_index_is_the_sorted_position() {
+    fn lookup_slot_returns_the_sorted_position() {
         let t = PatchTable::from_patches([
             Patch::new(AllocFn::Realloc, 2, VulnFlags::ALL),
             Patch::new(AllocFn::Malloc, 5, VulnFlags::USE_AFTER_FREE),
             Patch::new(AllocFn::Malloc, 1, VulnFlags::OVERFLOW),
         ]);
-        assert_eq!(t.slot_index(AllocFn::Malloc, 1), Some(0));
-        assert_eq!(t.slot_index(AllocFn::Malloc, 5), Some(1));
-        assert_eq!(t.slot_index(AllocFn::Realloc, 2), Some(2));
-        assert_eq!(t.slot_index(AllocFn::Malloc, 2), None);
+        assert_eq!(t.lookup_slot(AllocFn::Malloc, 2), None);
         assert_eq!(
             t.entry(2),
             Some((AllocFn::Realloc, 2, VulnFlags::ALL)),
             "entry() resolves the slot back to the patch"
         );
         assert_eq!(t.entry(3), None);
-        // slot_index and lookup agree on every entry.
         for (i, (f, c, v)) in t.iter().enumerate() {
-            assert_eq!(t.slot_index(f, c), Some(i));
-            assert_eq!(t.lookup(f, c), Some(v));
+            assert_eq!(t.lookup_slot(f, c), Some((i, v)));
         }
     }
 
     #[test]
     fn dense_tables_probe_correctly() {
-        // Enough keys to force wraparound probes at 50% load.
+        // Enough keys to force wraparound probes.
         let patches: Vec<Patch> = (0..300)
             .map(|i| Patch::new(AllocFn::Malloc, i * 3 + 1, VulnFlags::OVERFLOW))
             .collect();

@@ -157,18 +157,6 @@ impl<const SLOTS: usize> PatchStripes<SLOTS> {
         }
         c
     }
-
-    /// Merges all lanes into one dense per-slot vector.
-    pub fn merge(&self) -> Vec<PatchCounts> {
-        let mut out = vec![PatchCounts::default(); SLOTS];
-        for lane in &self.lanes {
-            for (slot, c) in out.iter_mut().enumerate() {
-                c.hits += lane.hits[slot].load(Ordering::Relaxed);
-                c.bytes += lane.bytes[slot].load(Ordering::Relaxed);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -183,10 +171,8 @@ mod tests {
         s.record(0, 32);
         s.record(7, 1);
         assert_eq!(s.counts(0), PatchCounts { hits: 2, bytes: 96 });
-        let merged = s.merge();
-        assert_eq!(merged[0], PatchCounts { hits: 2, bytes: 96 });
-        assert_eq!(merged[7], PatchCounts { hits: 1, bytes: 1 });
-        assert_eq!(merged[3], PatchCounts::default());
+        assert_eq!(s.counts(7), PatchCounts { hits: 1, bytes: 1 });
+        assert_eq!(s.counts(3), PatchCounts::default());
     }
 
     #[test]
@@ -194,7 +180,7 @@ mod tests {
         let s: PatchStripes<4> = PatchStripes::new();
         s.record(4, 100);
         s.record(usize::MAX, 100);
-        assert!(s.merge().iter().all(|c| c.hits == 0));
+        assert!((0..4).all(|slot| s.counts(slot).hits == 0));
         assert_eq!(s.counts(99), PatchCounts::default());
     }
 
@@ -231,8 +217,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let merged = s.merge();
-        for (slot, c) in merged.iter().enumerate() {
+        for slot in 0..4 {
+            let c = s.counts(slot);
             assert_eq!(c.hits, 20_000, "slot {slot}");
             assert_eq!(c.bytes, 160_000, "slot {slot}");
         }

@@ -118,26 +118,6 @@ impl Event {
         }
     }
 
-    /// An event attributed to patch-table slot `slot`.
-    pub fn patched(
-        kind: EventKind,
-        fun: AllocFn,
-        vuln: VulnFlags,
-        slot: u32,
-        ccid: u64,
-        size: u64,
-    ) -> Self {
-        Self {
-            seq: 0,
-            kind,
-            fun,
-            vuln,
-            slot,
-            ccid,
-            size,
-        }
-    }
-
     /// Packs into the ring's three payload words.
     pub(crate) fn pack(&self) -> [u64; 3] {
         let slot_plus1 = if self.slot == NO_SLOT {

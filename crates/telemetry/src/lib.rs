@@ -12,13 +12,15 @@
 //!   never allocate (a full ring counts a drop instead), so the ring is
 //!   safe to feed from inside a `#[global_allocator]`.
 //! - [`PatchStripes`] — per-patch hit/byte counters striped over 16 cache
-//!   lines, keyed by the frozen patch table's slot index and merged by
-//!   [`PatchStripes::merge`]; [`StripedCounter`] is the scalar form, which
-//!   the hardened allocator uses for its statistics.
-//! - [`AttackReport`] — the paper-style structured report, rendered exactly
-//!   once per distinct `(FUN, CCID, T)`; dedup lives with the patch table
-//!   (a lock-free once-bit in the patch meta word) so this crate only
-//!   formats and serializes.
+//!   lines, keyed by the frozen patch table's slot index;
+//!   [`StripedCounter`] is the scalar form, which the hardened allocator
+//!   uses for its statistics.
+//! - [`Recorder`] — the ring, the per-patch counters and one once-word per
+//!   `(slot, T)` behind the calls both backends make. A report is claimed
+//!   by a load and a CAS on its once-word, which keeps the size of the
+//!   first activation, so snapshots rebuild reports no ring overflow loses.
+//! - [`AttackReport`] — the paper-style structured report, one per
+//!   distinct `(FUN, CCID, T)`.
 //! - [`Timeline`] — wall-clock phase spans for the offline pipeline
 //!   (instrument / analyze / patch-gen), printed by the `reproduce` tables.
 //!
@@ -31,12 +33,14 @@
 
 mod counters;
 mod event;
+mod recorder;
 mod report;
 mod ring;
 mod spans;
 
 pub use counters::{PatchCounts, PatchStripes, StripedCounter, TELEMETRY_STRIPES};
 pub use event::{Event, EventKind, NO_SLOT};
+pub use recorder::Recorder;
 pub use report::{defense_for, AttackReport};
 pub use ring::{EventRing, RING_CAPACITY};
 pub use spans::{PhaseSpan, Timeline};
@@ -112,7 +116,9 @@ pub struct TelemetrySnapshot {
     pub dropped: u64,
     /// Per-patch hit/byte counters (patches with activity only).
     pub per_patch: Vec<PatchCounterRow>,
-    /// One-time attack reports, in first-activation order.
+    /// One attack report per activated `(FUN, CCID, T)`, cumulative over
+    /// the backend's life, in slot order (sorted `(FUN, CCID)`) and then
+    /// OF, UAF, UR.
     pub reports: Vec<AttackReport>,
 }
 

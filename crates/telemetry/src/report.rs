@@ -1,8 +1,8 @@
 //! The one-time structured attack report (paper Section VII).
 //!
 //! When a patched buffer's defense first fires for a given `(FUN, CCID, T)`
-//! the runtime files exactly one of these. Deduplication is the patch
-//! table's job (a lock-free once-bit per `T` in the patch meta word); this
+//! the runtime files exactly one of these. Deduplication is the
+//! [`Recorder`](crate::Recorder)'s job (a once-word per slot and `T`); this
 //! module only carries and renders the result.
 
 use ht_jsonio::{obj, Json, ToJson};

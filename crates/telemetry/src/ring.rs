@@ -85,11 +85,6 @@ impl EventRing {
         }
     }
 
-    /// Capacity in events.
-    pub const fn capacity(&self) -> usize {
-        RING_CAPACITY
-    }
-
     /// The stored->logical sequence translation for slot `i`.
     #[inline]
     fn seq_of(slot: &Slot, i: usize) -> u64 {
